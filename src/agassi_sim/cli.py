@@ -28,21 +28,15 @@ _SUBCOMMANDS = {
     "compile-report": "compile_report",
 }
 
-# (config key, flag dest) pairs the YAML file may provide.
-_CONFIG_KEYS = {
-    "epsilon": "epsilon",
-    "g": "g",
-    "v": "v",
-    "j": "j",
-    "nt": "nt",
-    "tf": "tf",
-    "samples": "samples",
-    "init": "init",
-    "out": "out",
-    "trotter": "trotter",
-    "e1": "e1",
-    "e2": "e2",
-}
+# Top-level keys a YAML config file may hold; each defaults the flag of the
+# same name, and ``sweep`` holds the phase-sweep grid.
+_CONFIG_KEYS = frozenset({
+    "epsilon", "g", "v", "j", "nt", "tf", "samples", "init", "out", "trotter",
+    "e1", "e2", "sweep",
+})
+_SWEEP_KEYS = frozenset({
+    "start", "stop", "points", "sweep_start", "sweep_stop", "sweep_points",
+})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,6 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_unknown(mapping: dict, allowed: frozenset, where: str) -> None:
+    unknown = sorted(str(k) for k in mapping if k not in allowed)
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) {', '.join(unknown)} in {where}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
+
+
 def _load_config(path: Path | None) -> dict:
     if path is None:
         return {}
@@ -89,6 +92,12 @@ def _load_config(path: Path | None) -> dict:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a mapping")
+    _reject_unknown(data, _CONFIG_KEYS, f"config file {path}")
+    sweep = data.get("sweep")
+    if sweep is not None:
+        if not isinstance(sweep, dict):
+            raise ValueError(f"'sweep' in config file {path} must hold a mapping")
+        _reject_unknown(sweep, _SWEEP_KEYS, f"'sweep' of config file {path}")
     return data
 
 
@@ -103,7 +112,10 @@ def _value(args, file_cfg: dict, key: str, default):
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     file_cfg = _load_config(getattr(args, "config", None))
-    sweep_cfg = file_cfg.get("sweep", {}) if isinstance(file_cfg.get("sweep"), dict) else {}
+    sweep_cfg = file_cfg.get("sweep") or {}
+    trotter = _value(args, file_cfg, "trotter", True)
+    if not isinstance(trotter, bool):
+        raise ValueError(f"trotter must be true or false, got {trotter!r}")
     params = ModelParams(
         epsilon=float(_value(args, file_cfg, "epsilon", 1.0)),
         g=float(_value(args, file_cfg, "g", 0.0)),
@@ -126,7 +138,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                                 sweep_cfg.get("points", 101))),
         e1=float(_value(args, file_cfg, "e1", 1e-4)),
         e2=float(_value(args, file_cfg, "e2", 1e-3)),
-        trotter=bool(_value(args, file_cfg, "trotter", True)),
+        trotter=trotter,
         out=_value(args, file_cfg, "out", None),
     )
 

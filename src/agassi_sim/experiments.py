@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,7 @@ def _initial(cfg: ExperimentConfig) -> StateVector:
     return state
 
 
+@lru_cache(maxsize=8)
 def _z_observables(n: int) -> tuple[PauliSum, PauliSum, PauliSum]:
     def single(q):
         letters = ["I"] * n

@@ -138,6 +138,24 @@ def build_collective_ops(j: int) -> dict[str, PauliSum]:
     }
 
 
+@lru_cache(maxsize=8)
+def _coupling_free_blocks(j: int) -> tuple[PauliSum, PauliSum, PauliSum]:
+    """``(Jzero, Pair, Jplus^2 + Jminus^2)`` for half-degeneracy j, where
+    ``Pair = sum_{s,s'} Adag_s A_s'``.
+
+    These depend on j alone, so the Jordan-Wigner map and the operator
+    products behind them run once per j; a Hamiltonian at any couplings is
+    then a weighted sum of the three.
+    """
+    ops = build_collective_ops(j)
+    pair = PauliSum.zero(4 * j)
+    for adag in (ops["A1dag"], ops["Am1dag"]):
+        for a in (ops["A1"], ops["Am1"]):
+            pair = pair + adag * a
+    jpm2 = ops["Jplus"] * ops["Jplus"] + ops["Jminus"] * ops["Jminus"]
+    return ops["Jzero"], pair, jpm2
+
+
 @lru_cache(maxsize=128)
 def build_hamiltonian(params: ModelParams) -> PauliSum:
     """Agassi Hamiltonian on 4j qubits, built from the collective operators.
@@ -145,14 +163,8 @@ def build_hamiltonian(params: ModelParams) -> PauliSum:
     The identity component (a constant energy offset, -g/2 at j=1) is
     removed so that the result coincides with the j=1 split form.
     """
-    ops = build_collective_ops(params.j)
-    pair = PauliSum.zero(params.n_qubits)
-    for adag in (ops["A1dag"], ops["Am1dag"]):
-        for a in (ops["A1"], ops["Am1"]):
-            pair = pair + adag * a
-    jp2 = ops["Jplus"] * ops["Jplus"]
-    jm2 = ops["Jminus"] * ops["Jminus"]
-    h = params.epsilon * ops["Jzero"] - params.g * pair - 0.5 * params.V * (jp2 + jm2)
+    jzero, pair, jpm2 = _coupling_free_blocks(params.j)
+    h = params.epsilon * jzero - params.g * pair - 0.5 * params.V * jpm2
     return h.without_identity()
 
 

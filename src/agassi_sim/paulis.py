@@ -18,7 +18,7 @@ are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,13 +27,6 @@ PRUNE_TOL = 1e-14
 
 MATRIX_QUBIT_LIMIT = 12
 """Largest qubit count for which dense matrices may be requested."""
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 # Single-site products: (a, b) -> (phase, c) with a*b = phase*c.
 _LETTER_PRODUCT = {
@@ -297,11 +290,37 @@ def jw_map(word: FermionWord, n: int) -> PauliSum:
     return result
 
 
+@lru_cache(maxsize=4096)
+def pauli_masks(letters: str) -> tuple[int, int, int]:
+    """Bit-mask form ``(x_mask, z_mask, n_y)`` of a letter string.
+
+    Bit ``n - q`` stands for qubit q (qubit 1 is the most significant bit).
+    X and Y set the x bit, Z and Y the z bit.  The unit string then maps
+    basis state ``|k>`` to ``i^n_y (-1)^popcount(k & z_mask) |k ^ x_mask>``.
+    """
+    n = len(letters)
+    x_mask = z_mask = 0
+    for i, c in enumerate(letters):
+        bit = 1 << (n - 1 - i)
+        if c in "XY":
+            x_mask |= bit
+        if c in "YZ":
+            z_mask |= bit
+    return x_mask, z_mask, letters.count("Y")
+
+
+def z_signs(z_mask: int, n: int) -> np.ndarray:
+    """``(-1)^popcount(k & z_mask)`` for every basis index k of n qubits."""
+    k = np.arange(2**n, dtype=np.int64)
+    return 1.0 - 2.0 * (np.bitwise_count(k & z_mask) & 1)
+
+
 def to_matrix(op: PauliSum | PauliString) -> np.ndarray:
     """Dense ``2^n x 2^n`` matrix of a Pauli sum or string.
 
     Guarded at ``n <= MATRIX_QUBIT_LIMIT``; intended as the small-system
-    testing oracle, linear in the number of terms.
+    testing oracle.  Each string fills one permuted diagonal,
+    ``M[k ^ x, k] += c i^n_y (-1)^popcount(k & z)``.
     """
     if isinstance(op, PauliString):
         op = PauliSum.from_terms([op])
@@ -310,8 +329,9 @@ def to_matrix(op: PauliSum | PauliString) -> np.ndarray:
             f"dense matrix for n={op.n} exceeds the n<={MATRIX_QUBIT_LIMIT} guard"
         )
     dim = 2**op.n
+    idx = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for t in op.terms:
-        factors = [PAULI_MATRICES[c] for c in t.letters]
-        out += t.coefficient * reduce(np.kron, factors, np.eye(1, dtype=complex))
+        x_mask, z_mask, n_y = pauli_masks(t.letters)
+        out[idx ^ x_mask, idx] += t.coefficient * 1j**n_y * z_signs(z_mask, op.n)
     return out

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .paulis import PauliString, PauliSum, to_matrix
+from .paulis import PauliString, PauliSum, pauli_masks, to_matrix, z_signs
 
 NORM_TOL = 1e-8
 UNITARITY_TOL = 1e-10
@@ -90,18 +90,6 @@ def parse_spin_pattern(pattern) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def basis_state(pattern) -> StateVector:
-    """Computational basis vector for a per-qubit up/down pattern."""
-    bits = parse_spin_pattern(pattern)
-    n = len(bits)
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    amps = np.zeros(2**n, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps, n)
-
-
 def basis_index(pattern) -> int:
     """Basis index of a spin pattern under the module convention."""
     index = 0
@@ -110,13 +98,12 @@ def basis_index(pattern) -> int:
     return index
 
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    v = values.copy()
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return v & 1
+def basis_state(pattern) -> StateVector:
+    """Computational basis vector for a per-qubit up/down pattern."""
+    n = len(parse_spin_pattern(pattern))
+    amps = np.zeros(2**n, dtype=complex)
+    amps[basis_index(pattern)] = 1.0
+    return StateVector(amps, n)
 
 
 @lru_cache(maxsize=512)
@@ -127,22 +114,9 @@ def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     index ``target[k]``.
     """
     n = len(letters)
-    size = 2**n
-    flip = 0
-    phase_mask = 0
-    n_y = 0
-    for i, c in enumerate(letters):
-        bit = 1 << (n - 1 - i)
-        if c in "XY":
-            flip |= bit
-        if c in "YZ":
-            phase_mask |= bit
-        if c == "Y":
-            n_y += 1
-    idx = np.arange(size, dtype=np.int64)
-    signs = 1.0 - 2.0 * _parity(idx & phase_mask)
-    phases = (1j**n_y) * signs
-    return idx ^ flip, phases.astype(complex)
+    x_mask, z_mask, n_y = pauli_masks(letters)
+    target = np.arange(2**n, dtype=np.int64) ^ x_mask
+    return target, (1j**n_y) * z_signs(z_mask, n)
 
 
 def apply_pauli(state: StateVector, p: PauliString) -> np.ndarray:

@@ -6,10 +6,11 @@ One step of the decomposition is
 
 read as an operator product, so the interaction block acts on the state
 first.  h1+h2 is diagonal in the z basis and is applied exactly as per-basis
-phases; h3 is applied as the ordered product of its eight mutually commuting
-string exponentials, which is likewise exact for the block, so the whole
-digital error comes from the single non-commuting pair (h1+h2 | h3) and
-shrinks like 1/n_T.
+phases.  h3 is the product of its eight mutually commuting string
+exponentials, which is likewise exact for the block, so the whole digital
+error comes from the single non-commuting pair (h1+h2 | h3) and shrinks like
+1/n_T.  All eight strings flip the same bits (x mask 1111), so the block is
+applied as one 2x2 rotation on each index pair {k, k ^ 1111}.
 
 Schedules are immutable and shareable; evolutions allocate fresh state.
 General j has no closed split and is not supported here.
@@ -23,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .model import INTERACTION_STRINGS, ModelParams, build_hamiltonian, build_split_j1
-from .paulis import PauliString, PauliSum
-from .statevector import StateVector, _pauli_action, exact_evolve, fidelity
+from .paulis import PauliString, PauliSum, pauli_masks, z_signs
+from .statevector import StateVector, exact_evolve, fidelity
 
 
 @dataclass(frozen=True)
@@ -75,24 +76,51 @@ def build_schedule(params: ModelParams, t: float, n_T: int) -> TrotterSchedule:
 @lru_cache(maxsize=256)
 def diagonal_energies(diagonal_block: PauliSum) -> np.ndarray:
     """Eigenvalue of a Z-only sum on every computational basis state."""
-    size = 2**diagonal_block.n
-    energies = np.zeros(size)
-    idx = np.arange(size, dtype=np.int64)
+    energies = np.zeros(2**diagonal_block.n)
     for term in diagonal_block.terms:
-        if any(c not in "IZ" for c in term.letters):
+        x_mask, z_mask, _ = pauli_masks(term.letters)
+        if x_mask:
             raise ValueError(f"{term.letters} is not diagonal in the z basis")
-        mask = 0
-        for i, c in enumerate(term.letters):
-            if c == "Z":
-                mask |= 1 << (diagonal_block.n - 1 - i)
-        v = idx & mask
-        v ^= v >> 8
-        v ^= v >> 4
-        v ^= v >> 2
-        v ^= v >> 1
-        energies += term.coefficient.real * (1.0 - 2.0 * (v & 1))
+        energies += term.coefficient.real * z_signs(z_mask, diagonal_block.n)
     energies.setflags(write=False)
     return energies
+
+
+@lru_cache(maxsize=64)
+def _rotation_groups(layer: tuple[tuple[PauliString, float], ...],
+                     n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The interaction layer as ``(flip, size, coupling)`` groups, in layer order.
+
+    A group is a run of consecutive strings that share one x mask and
+    commute, so its ordered product is the exponential of its sum.  That
+    sum couples only the index pairs {k, k ^ x}, where it is the 2x2 block
+    ``[[0, conj(w[k])], [w[k], 0]]`` with ``w = sum_s rate_s * phase_s``.
+    Its exponential over a step dt is ``out[k] = cos(dt size[k]) a[k] +
+    sin(dt size[k]) coupling[k] a[flip[k]]``, with ``flip[k] = k ^ x``,
+    ``size = |w|`` and ``coupling[k] = -i w[k ^ x] / |w[k ^ x]|``.
+    """
+    runs: list[tuple[int, list[tuple[PauliString, float]]]] = []
+    for string, rate in layer:
+        x_mask = pauli_masks(string.letters)[0]
+        if (runs and runs[-1][0] == x_mask
+                and all(string.commutes_with(s) for s, _ in runs[-1][1])):
+            runs[-1][1].append((string, rate))
+        else:
+            runs.append((x_mask, [(string, rate)]))
+    groups = []
+    for x_mask, members in runs:
+        w = np.zeros(2**n, dtype=complex)
+        for string, rate in members:
+            _, z_mask, n_y = pauli_masks(string.letters)
+            w += rate * 1j**n_y * z_signs(z_mask, n)
+        flip = np.arange(2**n, dtype=np.int64) ^ x_mask
+        size = np.abs(w)
+        unit = np.divide(w, size, out=np.zeros_like(w), where=size > 0)
+        group = (flip, size, -1j * unit[flip])
+        for array in group:
+            array.setflags(write=False)
+        groups.append(group)
+    return tuple(groups)
 
 
 def _batched_schedule_steps(amps: np.ndarray, schedule: TrotterSchedule,
@@ -100,23 +128,24 @@ def _batched_schedule_steps(amps: np.ndarray, schedule: TrotterSchedule,
     """Run a schedule on a batch of states, one step size per batch row.
 
     ``amps`` has shape (len(dts), 2^n); row k is advanced with step dts[k]
-    for schedule.n_T steps.   Each interaction string is applied through the
-    same permutation-plus-phase kernel as apply_pauli_exponential, using
-    cos(theta) - i sin(theta) P; the flip permutation is an involution, so
-    indexing columns by it applies its inverse.
+    for schedule.n_T steps.  Each group of the interaction layer (see
+    :func:`_rotation_groups`) is one 2x2 rotation on every index pair, and
+    the diagonal phases of the step are folded into the last group.
     """
-    energies = diagonal_energies(schedule.diagonal_block)
-    diag_phases = np.exp(-1j * np.outer(dts, energies))
-    actions = [
-        (_pauli_action(string.letters), rate)
-        for string, rate in schedule.interaction_layer
-    ]
+    n = schedule.diagonal_block.n
+    diag_phases = np.exp(-1j * np.outer(dts, diagonal_energies(schedule.diagonal_block)))
+    steps = []
+    for flip, size, coupling in _rotation_groups(schedule.interaction_layer, n):
+        angle = np.outer(dts, size)
+        steps.append([flip, np.cos(angle), np.sin(angle) * coupling])
+    if steps:
+        steps[-1][1] = steps[-1][1] * diag_phases
+        steps[-1][2] = steps[-1][2] * diag_phases
     for _ in range(schedule.n_T):
-        for (target, phases), rate in actions:
-            theta = rate * dts
-            flipped = (amps * phases)[:, target]
-            amps = np.cos(theta)[:, None] * amps - 1j * np.sin(theta)[:, None] * flipped
-        amps = diag_phases * amps
+        for flip, stay, swap in steps:
+            amps = stay * amps + swap * amps[:, flip]
+        if not steps:
+            amps = diag_phases * amps
     return amps
 
 

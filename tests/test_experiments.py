@@ -282,6 +282,36 @@ class TestCli:
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "0.4"
 
+    @pytest.mark.parametrize("body,name", [
+        ("nT: 10\n", "nT"),
+        ("g: 0.5\nsweep: {begin: 0.2}\n", "begin"),
+    ], ids=["top-level", "sweep"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, body, name):
+        config = tmp_path / "run.yaml"
+        config.write_text(body)
+        code = cli_main(["phase-sweep", "--config", str(config),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_trotter_must_be_boolean(self, tmp_path, capsys):
+        config = tmp_path / "run.yaml"
+        config.write_text('trotter: "false"\n')
+        code = cli_main(["correlation", "--config", str(config),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "trotter" in capsys.readouterr().err
+
+    def test_config_trotter_boolean_accepted(self, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("trotter: false\ng: 0.4\nv: 0.4\nsamples: 4\ntf: 1.0\n")
+        out = tmp_path / "corr.csv"
+        code = cli_main(["correlation", "--config", str(config), "--out", str(out)])
+        assert code == 0
+        for line in out.read_text().splitlines()[1:]:
+            assert line.endswith("nan")
+
     def test_invalid_value_exits_nonzero(self, tmp_path, capsys):
         code = cli_main(["survival", "--j", "0", "--out", str(tmp_path / "x.csv")])
         assert code == 2

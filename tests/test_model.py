@@ -136,6 +136,22 @@ class TestBuildHamiltonian:
         nop = build_collective_ops(j)["Nop"]
         assert sum_max_coeff(commutator(h, nop)) < 1e-12
 
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_cached_blocks_match_direct_expression(self, j):
+        ops = build_collective_ops(j)
+        pair = PauliSum.zero(4 * j)
+        for adag in (ops["A1dag"], ops["Am1dag"]):
+            for a in (ops["A1"], ops["Am1"]):
+                pair = pair + adag * a
+        jp2 = ops["Jplus"] * ops["Jplus"]
+        jm2 = ops["Jminus"] * ops["Jminus"]
+        for eps, g, v in ((1.0, 0.6, 0.3), (0.8, -0.45, 1.3), (1.2, 0.7, -0.7)):
+            direct = (eps * ops["Jzero"] - g * pair - 0.5 * v * (jp2 + jm2)).without_identity()
+            h = build_hamiltonian(ModelParams(epsilon=eps, g=g, V=v, j=j))
+            assert [t.letters for t in h.terms] == [t.letters for t in direct.terms]
+            for ours, ref in zip(h.terms, direct.terms):
+                assert abs(ours.coefficient - ref.coefficient) < 1e-12
+
     @pytest.mark.parametrize("j", [1, 2])
     def test_matches_independent_fermionic_oracle(self, j):
         # Assemble H from dense JW mode operators with no shared code, then

@@ -206,9 +206,15 @@ class TestToMatrix:
         s = PauliSum.identity(2)
         assert np.allclose(to_matrix(s), np.eye(4))
 
-    def test_linear_in_terms(self):
-        s = PauliSum.from_terms([pauli("XY", 0.5), pauli("ZI", -1.5j)])
-        assert np.allclose(to_matrix(s), dense_sum(s), atol=1e-14)
+    def test_linear_in_terms(self, rng):
+        for n in range(1, 7):
+            terms = [
+                PauliString(complex(rng.normal(), rng.normal()),
+                            "".join(rng.choice(list("IXYZ"), size=n)))
+                for _ in range(3 * n)
+            ]
+            s = PauliSum.from_terms(terms, n)
+            assert np.max(np.abs(to_matrix(s) - dense_sum(s))) < 1e-12
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):

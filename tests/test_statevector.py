@@ -11,6 +11,7 @@ from agassi_sim.statevector import (
     ExactPropagator,
     StateVector,
     TimeSeries,
+    apply_pauli,
     apply_pauli_exponential,
     basis_index,
     basis_state,
@@ -18,6 +19,8 @@ from agassi_sim.statevector import (
     expectation,
     fidelity,
 )
+
+from agassi_sim.trotter import diagonal_energies
 
 from conftest import dense_expm_hermitian, dense_string, dense_sum
 
@@ -223,6 +226,76 @@ class TestObservables:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             expectation(basis_state("du"), PauliSum.from_terms([pauli("XY", 1j)]))
+
+
+def site_by_site(letters: str, k: int) -> tuple[int, complex]:
+    """Image ``phase |target>`` of basis state |k> under a unit string,
+    applying one letter at a time with Python integers."""
+    n = len(letters)
+    target, phase = k, 1.0 + 0.0j
+    for q, c in enumerate(letters):
+        shift = n - 1 - q
+        bit = (k >> shift) & 1
+        if c in "XY":
+            target ^= 1 << shift
+        if c == "Z" and bit:
+            phase = -phase
+        if c == "Y":
+            phase *= -1j if bit else 1j  # Y|0> = i|1>, Y|1> = -i|0>
+    return target, phase
+
+
+def random_letters(rng, n: int, first: str) -> str:
+    return first + "".join(rng.choice(list("IXYZ"), size=n - 1))
+
+
+class TestWideRegisters:
+    """Beyond 16 qubits the bits above 1 << 15 must still count; these
+    checks use the site-by-site rule, never a dense matrix (n > 12)."""
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_apply_pauli_matches_site_by_site(self, rng, n):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = StateVector(amps / np.linalg.norm(amps), n)
+        samples = np.concatenate([
+            [1 << 16, 1 << (n - 1), (1 << n) - 1, (1 << 16) | 1],
+            rng.integers(0, 2**n, size=300),
+        ])
+        for letters in ["Z" + "I" * (n - 1), random_letters(rng, n, "Y"),
+                        random_letters(rng, n, "Z")]:
+            out = apply_pauli(state, pauli(letters, -0.5))
+            for k in samples:
+                target, phase = site_by_site(letters, int(k))
+                assert abs(out[target] - (-0.5) * phase * state.amplitudes[k]) < 1e-15
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_expectation_matches_site_by_site(self, rng, n):
+        z1 = "Z" + "I" * (n - 1)
+        flip = random_letters(rng, n, "X")
+        observable = PauliSum.from_terms([pauli(z1, 0.7), pauli(flip, -1.3)], n)
+        x_mask = site_by_site(flip, 0)[0]
+        seeds = [1 << 16, (1 << n) - 1, *map(int, rng.integers(0, 2**n, size=3))]
+        support = sorted({k for s in seeds for k in (s, s ^ x_mask)})
+        values = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+        values /= np.linalg.norm(values)
+        amps = np.zeros(2**n, dtype=complex)
+        amps[support] = values
+        psi = dict(zip(support, values))
+        expected = 0.0
+        for term in observable.terms:
+            for k, a in psi.items():
+                target, phase = site_by_site(term.letters, k)
+                expected += term.coefficient * np.conj(psi.get(target, 0.0)) * phase * a
+        assert expectation(StateVector(amps, n), observable) == pytest.approx(
+            expected.real, abs=1e-12)
+
+    def test_z_on_qubit_one_reads_bit_sixteen(self):
+        n = 17
+        amps = np.zeros(2**n, dtype=complex)
+        amps[1 << 16] = 1.0
+        z1 = PauliSum.from_terms([pauli("Z" + "I" * 16)])
+        assert expectation(StateVector(amps, n), z1) == -1.0
+        assert diagonal_energies(z1)[1 << 16] == -1.0
 
 
 class TestFidelity:

@@ -4,14 +4,24 @@ import numpy as np
 import pytest
 
 from agassi_sim.model import ModelParams, build_hamiltonian
-from agassi_sim.statevector import basis_state, exact_evolve, fidelity
+from agassi_sim.paulis import pauli
+from agassi_sim.statevector import (
+    StateVector,
+    apply_pauli_exponential,
+    basis_state,
+    exact_evolve,
+    fidelity,
+)
 from agassi_sim.trotter import (
     build_schedule,
     digital_error,
     evolve_schedule,
     trotter_evolve,
+    trotter_states_at,
     TrotterSchedule,
 )
+
+from conftest import dense_sum
 
 
 PARAMS = ModelParams(epsilon=1.0, g=1.0, V=1.0)
@@ -108,6 +118,60 @@ class TestEvolution:
             )
             out = evolve_schedule(state, shuffled)
             assert np.max(np.abs(out.amplitudes - reference.amplitudes)) < 1e-12
+
+
+def per_string_evolution(state: StateVector, schedule: TrotterSchedule) -> StateVector:
+    """Reference step: every layer string as its own exponential, in layer
+    order, then the diagonal block as dense phases."""
+    energies = np.real(np.diag(dense_sum(schedule.diagonal_block)))
+    for _ in range(schedule.n_T):
+        for string, rate in schedule.interaction_layer:
+            state = apply_pauli_exponential(state, string, rate * schedule.dt)
+        state = StateVector(np.exp(-1j * energies * schedule.dt) * state.amplitudes, state.n)
+    return state
+
+
+def random_state(rng, n: int = 4) -> StateVector:
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(amps / np.linalg.norm(amps), n)
+
+
+class TestCollapsedInteractionLayer:
+    """The layer runs as one pair rotation per step; it must equal the
+    ordered product of the per-string exponentials."""
+
+    def test_matches_per_string_product(self, rng):
+        draws = [(float(rng.uniform(0.5, 1.5)), float(rng.uniform(-1.5, 1.5)),
+                  float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.0, 8.0)),
+                  int(rng.integers(1, 12))) for _ in range(20)]
+        draws += [(1.0, 0.6, -0.6, 3.0, 4), (0.9, -0.8, 0.3, 2.5, 7)]  # g+V = 0, < 0
+        for eps, g, v, t, n_T in draws:
+            schedule = build_schedule(ModelParams(epsilon=eps, g=g, V=v), t, n_T)
+            state = random_state(rng)
+            out = evolve_schedule(state, schedule)
+            ref = per_string_evolution(state, schedule)
+            assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-12
+
+    def test_batched_rows_match_per_string_product(self, rng):
+        params = ModelParams(epsilon=1.0, g=0.4, V=0.45)
+        state = random_state(rng)
+        times = np.linspace(0.0, 6.0, 9)
+        rows = trotter_states_at(state, params, times, 5)
+        for t, row in zip(times, rows):
+            ref = per_string_evolution(state, build_schedule(params, float(t), 5))
+            assert np.max(np.abs(row - ref.amplitudes)) < 1e-12
+
+    def test_non_commuting_strings_with_one_x_mask_keep_their_order(self, rng):
+        # XXXX, XXXY and YXXY share x mask 1111 but pairwise anticommute;
+        # YXXY and XXYY commute; IXXI flips other bits.
+        layer = tuple((pauli(s), r) for s, r in (
+            ("XXXX", 0.3), ("XXXY", -0.7), ("YXXY", 0.2), ("XXYY", 0.5), ("IXXI", -0.4)))
+        schedule = build_schedule(PARAMS, 1.3, 3)
+        custom = TrotterSchedule(diagonal_block=schedule.diagonal_block,
+                                 interaction_layer=layer, n_T=3, t=1.3)
+        state = random_state(rng)
+        ref = per_string_evolution(state, custom)
+        assert np.max(np.abs(evolve_schedule(state, custom).amplitudes - ref.amplitudes)) < 1e-12
 
 
 class TestDigitalError:

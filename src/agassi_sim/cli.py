@@ -11,22 +11,14 @@ flags taking precedence, e.g.::
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 import yaml
 
-from .experiments import ExperimentConfig, run
+from .experiments import EXPERIMENTS, ExperimentConfig, run
 from .model import ModelParams
-
-_SUBCOMMANDS = {
-    "fidelity-time": "fidelity_vs_time",
-    "fidelity-steps": "fidelity_vs_nT",
-    "survival": "survival",
-    "correlation": "correlation",
-    "phase-sweep": "phase_sweep",
-    "compile-report": "compile_report",
-}
 
 # Top-level keys a YAML config file may hold; each defaults the flag of the
 # same name, and ``sweep`` holds the phase-sweep grid.
@@ -39,15 +31,17 @@ _SWEEP_KEYS = frozenset({
 })
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process from the experiment table."""
     parser = argparse.ArgumentParser(
         prog="agassi-sim",
         description="Run digital-simulation experiments for the four-site Agassi model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, experiment in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=f"run the {experiment} experiment")
-        p.set_defaults(experiment=experiment)
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(experiment.command, help=f"run the {name} experiment")
+        p.set_defaults(experiment=name)
         p.add_argument("--config", type=Path, help="YAML file with default values")
         p.add_argument("--epsilon", type=float, help="level splitting (energy unit), default 1")
         p.add_argument("--g", type=float, help="pairing strength, default 0")
@@ -66,11 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
                            default=None, help="include the digital curve (default)")
         group.add_argument("--exact-only", dest="trotter", action="store_false",
                            help="skip the digital curve")
-        if name == "phase-sweep":
+        if name == "phase_sweep":
             p.add_argument("--sweep-start", type=float, help="first g=V value, default 0")
             p.add_argument("--sweep-stop", type=float, help="last g=V value, default 1")
             p.add_argument("--sweep-points", type=int, help="grid size, default 101")
-        if name == "compile-report":
+        if name == "compile_report":
             p.add_argument("--e1", type=float, help="single-qubit gate error, default 1e-4")
             p.add_argument("--e2", type=float, help="two-qubit gate error, default 1e-3")
     return parser

@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -40,6 +41,7 @@ from .statevector import (
     ExactPropagator,
     StateVector,
     TimeSeries,
+    _cached_propagator,
     basis_state,
     fidelity,
 )
@@ -50,17 +52,11 @@ from .trotter import (
     trotter_states_at,
 )
 
-EXPERIMENTS = (
-    "fidelity_vs_time",
-    "fidelity_vs_nT",
-    "survival",
-    "correlation",
-    "phase_sweep",
-    "compile_report",
-)
-
 SATURATION_TOL = 1e-6
 """An amplitude within this distance of 1 counts as saturated (broken phase)."""
+
+MAX_AMPLITUDES = 2**24
+"""Largest time grid accepted, counted as samples * 2^n amplitudes (256 MiB)."""
 
 
 @dataclass(frozen=True)
@@ -82,10 +78,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}; choose from {tuple(EXPERIMENTS)}"
             )
+        if not (isinstance(self.n_T, int) and self.n_T >= 1):
+            raise ValueError(f"n_T must be a positive integer, got {self.n_T!r}")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
+        size = self.samples * 2**self.params.n_qubits
+        if size > MAX_AMPLITUDES:
+            raise ValueError(
+                f"samples * 2^n = {self.samples} * 2^{self.params.n_qubits} = {size} "
+                f"amplitudes exceeds the limit of {MAX_AMPLITUDES}"
+            )
         if self.t_final is not None and not self.t_final > 0:
             raise ValueError("t_final must be positive")
         if self.sweep_points < 2:
@@ -107,10 +111,13 @@ def rabi_period(params: ModelParams) -> float:
 
 
 def default_t_final(cfg: ExperimentConfig) -> float:
-    """cfg.t_final, or a window with (g+V) t spanning [0, 10] (10/epsilon
-    when the coupling vanishes)."""
+    """cfg.t_final, or else t = 1 for the compile report and a window with
+    (g+V) t spanning [0, 10] (10/epsilon when the coupling vanishes) for
+    every other experiment."""
     if cfg.t_final is not None:
         return cfg.t_final
+    if cfg.experiment == "compile_report":
+        return 1.0
     scale = cfg.params.control if cfg.params.control > 0 else cfg.params.epsilon
     return 10.0 / scale
 
@@ -145,8 +152,9 @@ def _corr_from_states(states: np.ndarray, n: int) -> np.ndarray:
     return e12 - e1 * e2
 
 
-def _corr_value(state: StateVector) -> float:
-    return float(_corr_from_states(state.amplitudes[None, :], state.n)[0])
+def _propagator(params: ModelParams) -> ExactPropagator:
+    """The spectral propagator of H(params), cached per Hamiltonian."""
+    return _cached_propagator(build_hamiltonian(params))
 
 
 def _survival_values(states: np.ndarray, initial: StateVector) -> np.ndarray:
@@ -179,6 +187,28 @@ def amplitude_time_grid(params: ModelParams, samples_per_period: int = 200,
     return np.linspace(0.0, periods * period, n_samples)
 
 
+def _two_period_max(cfg: ExperimentConfig, observable: Callable, *,
+                    trotterized: bool = False) -> float:
+    """Maximum of ``observable(states, initial)`` over two Rabi periods: one
+    batched pass on the grid, then Brent refinement of the best grid cell
+    through single states, under exact or (``trotterized``) digital evolution."""
+    params = cfg.params
+    initial = _initial(cfg)
+    times = amplitude_time_grid(params)
+    if trotterized:
+        states = trotter_states_at(initial, params, times, cfg.n_T)
+        state_at = partial(trotter_evolve, initial, params, n_T=cfg.n_T)
+    else:
+        propagator = _propagator(params)
+        states = propagator.states_at(initial, times)
+        state_at = partial(propagator.evolve, initial)
+
+    def value_at(t: float) -> float:
+        return float(observable(state_at(t).amplitudes[None, :], initial)[0])
+
+    return _grid_max_refined(value_at, times, observable(states, initial))
+
+
 def amplitude(cfg: ExperimentConfig, *, trotterized: bool = False) -> float:
     """Oscillation amplitude of corr_z12: the maximum over a grid covering
     two Rabi periods, refined locally to machine precision.
@@ -188,43 +218,16 @@ def amplitude(cfg: ExperimentConfig, *, trotterized: bool = False) -> float:
     coupling g + V = 0 leaves the initial eigenstate stationary, so the
     amplitude is 0.
     """
-    params = cfg.params
-    if params.control == 0.0:
+    if cfg.params.control == 0.0:
         return 0.0
-    initial = _initial(cfg)
-    times = amplitude_time_grid(params)
-    if trotterized:
-        states = trotter_states_at(initial, params, times, cfg.n_T)
-        values = _corr_from_states(states, params.n_qubits)
-
-        def corr_at(t: float) -> float:
-            return _corr_value(trotter_evolve(initial, params, float(t), cfg.n_T))
-
-    else:
-        propagator = ExactPropagator(build_hamiltonian(params))
-        states = propagator.states_at(initial, times)
-        values = _corr_from_states(states, params.n_qubits)
-
-        def corr_at(t: float) -> float:
-            return _corr_value(propagator.evolve(initial, t))
-
-    return _grid_max_refined(corr_at, times, values)
+    return _two_period_max(cfg, lambda states, initial: _corr_from_states(states, initial.n),
+                           trotterized=trotterized)
 
 
 def survival_minimum(cfg: ExperimentConfig) -> float:
     """Minimum of the exact survival probability over two Rabi periods,
     grid-scanned and locally refined."""
-    params = cfg.params
-    initial = _initial(cfg)
-    propagator = ExactPropagator(build_hamiltonian(params))
-    times = amplitude_time_grid(params)
-    values = _survival_values(propagator.states_at(initial, times), initial)
-
-    def neg_survival(t: float) -> float:
-        return -float(_survival_values(
-            propagator.evolve(initial, t).amplitudes[None, :], initial)[0])
-
-    return -_grid_max_refined(neg_survival, times, -values)
+    return -_two_period_max(cfg, lambda states, initial: -_survival_values(states, initial))
 
 
 def classify_amplitude(amp: float, tol: float = SATURATION_TOL) -> str:
@@ -233,14 +236,17 @@ def classify_amplitude(amp: float, tol: float = SATURATION_TOL) -> str:
     return "BSP" if amp >= 1.0 - tol else "SP"
 
 
-def fidelity_time_series(cfg: ExperimentConfig) -> TimeSeries:
-    """Fidelity between exact and digital states on a uniform time grid."""
-    params = cfg.params
+def _exact_grid(cfg: ExperimentConfig) -> tuple[StateVector, np.ndarray, np.ndarray]:
+    """The initial state, the output time grid and the exact states on it."""
     initial = _initial(cfg)
     times = np.linspace(0.0, default_t_final(cfg), cfg.samples)
-    propagator = ExactPropagator(build_hamiltonian(params))
-    exact_states = propagator.states_at(initial, times)
-    digital_states = trotter_states_at(initial, params, times, cfg.n_T)
+    return initial, times, _propagator(cfg.params).states_at(initial, times)
+
+
+def fidelity_time_series(cfg: ExperimentConfig) -> TimeSeries:
+    """Fidelity between exact and digital states on a uniform time grid."""
+    initial, times, exact_states = _exact_grid(cfg)
+    digital_states = trotter_states_at(initial, cfg.params, times, cfg.n_T)
     overlaps = np.einsum("ki,ki->k", exact_states.conj(), digital_states)
     return TimeSeries(times, np.abs(overlaps) ** 2)
 
@@ -251,7 +257,7 @@ def fidelity_vs_steps(cfg: ExperimentConfig, max_steps: int | None = None) -> tu
     initial = _initial(cfg)
     t_final = default_t_final(cfg)
     max_steps = max_steps if max_steps is not None else cfg.n_T
-    exact = ExactPropagator(build_hamiltonian(params)).evolve(initial, t_final)
+    exact = _propagator(params).evolve(initial, t_final)
     steps = np.arange(1, max_steps + 1)
     fids = np.array([
         fidelity(exact, trotter_evolve(initial, params, t_final, int(m)))
@@ -262,10 +268,7 @@ def fidelity_vs_steps(cfg: ExperimentConfig, max_steps: int | None = None) -> tu
 
 def survival_series(cfg: ExperimentConfig) -> TimeSeries:
     """Exact survival probability |<psi(0)|psi(t)>|^2 on a uniform grid."""
-    params = cfg.params
-    initial = _initial(cfg)
-    times = np.linspace(0.0, default_t_final(cfg), cfg.samples)
-    states = ExactPropagator(build_hamiltonian(params)).states_at(initial, times)
+    initial, times, states = _exact_grid(cfg)
     return TimeSeries(times, _survival_values(states, initial))
 
 
@@ -273,9 +276,7 @@ def correlation_series(cfg: ExperimentConfig) -> tuple[TimeSeries, TimeSeries | 
     """corr_z12 under exact evolution and, when cfg.trotter, under the
     digital evolution at cfg.n_T on the same grid."""
     params = cfg.params
-    initial = _initial(cfg)
-    times = np.linspace(0.0, default_t_final(cfg), cfg.samples)
-    states = ExactPropagator(build_hamiltonian(params)).states_at(initial, times)
+    initial, times, states = _exact_grid(cfg)
     exact = TimeSeries(times, _corr_from_states(states, params.n_qubits))
     if not cfg.trotter:
         return exact, None
@@ -297,7 +298,7 @@ def phase_sweep(cfg: ExperimentConfig, *, trotterized: bool = False) -> SweepRes
     return SweepResult(control=controls, amplitude=amps, phase=tuple(labels))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -314,7 +315,7 @@ def _write_manifest(path: Path, cfg: ExperimentConfig, outputs: list[Path],
             "V": cfg.params.V,
             "j": cfg.params.j,
             "n_T": cfg.n_T,
-            "t_final": default_t_final(cfg) if cfg.experiment != "compile_report" else cfg.t_final,
+            "t_final": default_t_final(cfg),
             "samples": cfg.samples,
             "initial_state": cfg.initial_state,
             "sweep": {
@@ -339,8 +340,7 @@ def _write_manifest(path: Path, cfg: ExperimentConfig, outputs: list[Path],
 
 def compile_report_text(cfg: ExperimentConfig) -> tuple[str, str]:
     """Human-readable gate/cost report plus the serialized program."""
-    t_final = cfg.t_final if cfg.t_final is not None else 1.0
-    schedule = build_schedule(cfg.params, t_final, cfg.n_T)
+    schedule = build_schedule(cfg.params, default_t_final(cfg), cfg.n_T)
     sequence = compile_schedule(schedule)
     counts = count_gates(sequence)
     budget = error_budget(counts, cfg.e1, cfg.e2, cfg.n_T)
@@ -361,6 +361,51 @@ def compile_report_text(cfg: ExperimentConfig) -> tuple[str, str]:
     return "\n".join(lines) + "\n", sequence_to_text(sequence)
 
 
+def _time_rows(cfg: ExperimentConfig, series: TimeSeries, *extra) -> Iterable[tuple]:
+    """Rows ``(t, (g+V) t, value, *extra)`` of a time series."""
+    gv = cfg.params.control
+    return ((t, gv * t, v, *rest) for t, v, *rest in zip(series.times, series.values, *extra))
+
+
+def _correlation_rows(cfg: ExperimentConfig) -> Iterable[tuple]:
+    exact, digital = correlation_series(cfg)
+    digital_values = digital.values if digital is not None else np.full(len(exact), np.nan)
+    return _time_rows(cfg, exact, digital_values)
+
+
+def _sweep_rows(cfg: ExperimentConfig) -> Iterable[tuple]:
+    sweep = phase_sweep(cfg)
+    return zip(sweep.control, sweep.amplitude, sweep.phase)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its CLI subcommand, its CSV columns and ``rows(cfg)``,
+    which computes it and yields the CSV rows.  The compile report writes a
+    text report and a gate file instead, and has no columns."""
+
+    command: str
+    columns: tuple[str, ...] = ()
+    rows: Callable[[ExperimentConfig], Iterable[tuple]] | None = None
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "fidelity_vs_time": Experiment(
+        "fidelity-time", ("t", "gvt", "fidelity"),
+        lambda cfg: _time_rows(cfg, fidelity_time_series(cfg))),
+    "fidelity_vs_nT": Experiment(
+        "fidelity-steps", ("n_T", "fidelity"),
+        lambda cfg: ((f"{int(m)}", v) for m, v in zip(*fidelity_vs_steps(cfg)))),
+    "survival": Experiment(
+        "survival", ("t", "gvt", "survival"),
+        lambda cfg: _time_rows(cfg, survival_series(cfg))),
+    "correlation": Experiment(
+        "correlation", ("t", "gvt", "corr_exact", "corr_trotter"), _correlation_rows),
+    "phase_sweep": Experiment("phase-sweep", ("g_eq_v", "amplitude", "phase"), _sweep_rows),
+    "compile_report": Experiment("compile-report"),
+}
+
+
 def run(cfg: ExperimentConfig) -> list[Path]:
     """Execute an experiment, write its CSV (or report) and manifest.
 
@@ -371,46 +416,18 @@ def run(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    gv = cfg.params.control
-    outputs: list[Path] = []
+    experiment = EXPERIMENTS[cfg.experiment]
     extra: dict | None = None
-
-    if cfg.experiment == "fidelity_vs_time":
-        series = fidelity_time_series(cfg)
-        _write_csv(out, ["t", "gvt", "fidelity"],
-                   ((t, gv * t, v) for t, v in zip(series.times, series.values)))
-        outputs.append(out)
-    elif cfg.experiment == "fidelity_vs_nT":
-        steps, fids = fidelity_vs_steps(cfg)
-        _write_csv(out, ["n_T", "fidelity"],
-                   ((f"{int(m)}", v) for m, v in zip(steps, fids)))
-        outputs.append(out)
-    elif cfg.experiment == "survival":
-        series = survival_series(cfg)
-        _write_csv(out, ["t", "gvt", "survival"],
-                   ((t, gv * t, v) for t, v in zip(series.times, series.values)))
-        outputs.append(out)
-    elif cfg.experiment == "correlation":
-        exact, digital = correlation_series(cfg)
-        digital_values = (digital.values if digital is not None
-                          else np.full(len(exact), np.nan))
-        _write_csv(out, ["t", "gvt", "corr_exact", "corr_trotter"],
-                   ((t, gv * t, a, b) for t, a, b
-                    in zip(exact.times, exact.values, digital_values)))
-        outputs.append(out)
-    elif cfg.experiment == "phase_sweep":
-        sweep = phase_sweep(cfg)
-        _write_csv(out, ["g_eq_v", "amplitude", "phase"],
-                   ((c, a, p) for c, a, p
-                    in zip(sweep.control, sweep.amplitude, sweep.phase)))
-        outputs.append(out)
-    elif cfg.experiment == "compile_report":
+    if experiment.columns:
+        _write_csv(out, experiment.columns, experiment.rows(cfg))
+        outputs = [out]
+    else:
         report, program = compile_report_text(cfg)
         out.write_text(report)
         print(report, end="")
         gates_path = out.with_suffix(out.suffix + ".gates.txt")
         gates_path.write_text(program)
-        outputs.extend([out, gates_path])
+        outputs = [out, gates_path]
         extra = {"report": report.strip().splitlines()}
 
     wall = time.perf_counter() - started

@@ -34,14 +34,27 @@ class TrotterSchedule:
 
     ``interaction_layer`` holds ``(string, angle_per_unit_time)`` pairs in
     the canonical listing order; the exponential applied per step is
-    ``exp(-i * angle_per_unit_time * dt * string)``.  The layer is empty
-    exactly when g + V = 0, in which case the schedule is error-free.
+    ``exp(-i * angle_per_unit_time * dt * string)``, so every string has
+    coefficient 1.  The layer is empty exactly when g + V = 0, in which case
+    the schedule is error-free.
     """
 
     diagonal_block: PauliSum
     interaction_layer: tuple[tuple[PauliString, float], ...]
     n_T: int
     t: float
+
+    def __post_init__(self):
+        if not (isinstance(self.n_T, int) and self.n_T >= 1):
+            raise ValueError(f"n_T must be a positive integer, got {self.n_T!r}")
+        if not self.t >= 0:
+            raise ValueError(f"t must be nonnegative, got {self.t!r}")
+        for string, _ in self.interaction_layer:
+            if string.coefficient != 1:
+                raise ValueError(
+                    f"interaction string {string.letters} has coefficient "
+                    f"{string.coefficient}; fold it into the angle and use 1"
+                )
 
     @property
     def dt(self) -> float:
@@ -52,10 +65,6 @@ def build_schedule(params: ModelParams, t: float, n_T: int) -> TrotterSchedule:
     """Schedule for evolving to time t in n_T first-order steps (j = 1)."""
     if params.j != 1:
         raise NotImplementedError("digital schedules are implemented for j = 1 only")
-    if not (isinstance(n_T, int) and n_T >= 1):
-        raise ValueError(f"n_T must be a positive integer, got {n_T!r}")
-    if not t >= 0:
-        raise ValueError(f"t must be nonnegative, got {t!r}")
     split = build_split_j1(params)
     strength = params.control
     if strength == 0.0:

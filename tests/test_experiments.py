@@ -7,6 +7,8 @@ import pytest
 
 from agassi_sim.cli import main as cli_main
 from agassi_sim.experiments import (
+    EXPERIMENTS,
+    MAX_AMPLITUDES,
     ExperimentConfig,
     amplitude,
     classify_amplitude,
@@ -153,6 +155,21 @@ class TestRun:
             ExperimentConfig(experiment="survival", samples=1)
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="survival", t_final=0.0)
+
+    @pytest.mark.parametrize("n_T", [0, -3, 2.5])
+    def test_n_T_must_be_positive_integer(self, n_T):
+        with pytest.raises(ValueError, match="n_T"):
+            ExperimentConfig(experiment="fidelity_vs_nT", n_T=n_T)
+
+    def test_oversized_grid_rejected_with_its_size(self):
+        # built only; nothing of this size is ever allocated
+        with pytest.raises(ValueError, match=str(10**9 * 16)):
+            ExperimentConfig(experiment="survival", samples=10**9)
+        with pytest.raises(ValueError, match=str(401 * 2**16)):
+            ExperimentConfig(experiment="survival", params=ModelParams(j=4))
+        ExperimentConfig(experiment="survival", samples=MAX_AMPLITUDES // 16)
+        with pytest.raises(ValueError):
+            ExperimentConfig(experiment="survival", samples=MAX_AMPLITUDES // 16 + 1)
 
     def test_initial_state_length_checked(self):
         cfg = cfg_for("survival", 0.5, 0.5, initial_state="dd", samples=4)
@@ -320,3 +337,66 @@ class TestCli:
     def test_missing_out_errors(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["survival"])
+
+    @pytest.mark.parametrize("flags", [
+        ["fidelity-steps", "--nt", "0"],
+        ["survival", "--samples", str(10**9)],
+    ], ids=["nt-zero", "oversized-grid"])
+    def test_bad_size_exits_2_without_output(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        assert cli_main([*flags, "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".csv.manifest.json").exists()
+
+    def test_compile_report_manifest_records_default_time(self, tmp_path):
+        out = tmp_path / "report.txt"
+        assert cli_main(["compile-report", "--g", "1", "--v", "1", "--out", str(out)]) == 0
+        manifest = json.loads(out.with_suffix(".txt.manifest.json").read_text())
+        assert manifest["parameters"]["t_final"] == 1.0
+
+
+def table_argv(name: str, out) -> list[str]:
+    argv = [EXPERIMENTS[name].command, "--g", "0.5", "--v", "0.5", "--nt", "2",
+            "--tf", "1", "--samples", "5", "--out", str(out)]
+    return argv + ["--sweep-points", "3"] if name == "phase_sweep" else argv
+
+
+class TestExperimentTable:
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_each_subcommand_writes_its_columns(self, tmp_path, capsys, name):
+        out = tmp_path / "out.txt"
+        assert cli_main(table_argv(name, out)) == 0
+        manifest = json.loads(out.with_suffix(".txt.manifest.json").read_text())
+        assert manifest["experiment"] == name
+        columns = EXPERIMENTS[name].columns
+        if columns:
+            lines = out.read_text().splitlines()
+            assert lines[0] == ",".join(columns)
+            assert len(lines) == 1 + {"fidelity_vs_nT": 2, "phase_sweep": 3}.get(name, 5)
+            assert all(len(line.split(",")) == len(columns) for line in lines[1:])
+        else:
+            assert "total gate error E_G" in out.read_text()
+            gates = out.with_suffix(".txt.gates.txt").read_text()
+            assert gates.startswith("# qubits=4 steps=2\n")
+
+    def test_parser_reused_across_calls(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["survival", "--sweep-points", "3", "--out", str(tmp_path / "bad.csv")])
+        first = tmp_path / "surv.csv"
+        assert cli_main(["survival", "--g", "1", "--v", "1", "--tf", "1",
+                         "--samples", "4", "--out", str(first)]) == 0
+        second = tmp_path / "steps.csv"
+        assert cli_main(["fidelity-steps", "--g", "1", "--v", "1", "--tf", "1",
+                         "--nt", "3", "--out", str(second)]) == 0
+        assert not (tmp_path / "bad.csv").exists()
+        survival = first.read_text().splitlines()
+        assert survival[0] == "t,gvt,survival" and len(survival) == 5
+        assert float(survival[1].split(",")[2]) == pytest.approx(1.0)
+        steps = second.read_text().splitlines()
+        assert steps[0] == "n_T,fidelity"
+        assert [line.split(",")[0] for line in steps[1:]] == ["1", "2", "3"]
+        manifests = [json.loads(p.with_suffix(".csv.manifest.json").read_text())
+                     for p in (first, second)]
+        assert [m["experiment"] for m in manifests] == ["survival", "fidelity_vs_nT"]
+        assert [m["parameters"]["n_T"] for m in manifests] == [5, 3]

@@ -72,6 +72,18 @@ class TestSchedule:
         with pytest.raises(ValueError):
             build_schedule(PARAMS, -1.0, 3)
 
+    @pytest.mark.parametrize("n_T,t", [(0, 1.0), (-2, 1.0), (2.0, 1.0), (3, -0.5)])
+    def test_hand_built_schedule_checks_steps_and_time(self, n_T, t):
+        diagonal = build_schedule(PARAMS, 1.0, 1).diagonal_block
+        with pytest.raises(ValueError):
+            TrotterSchedule(diagonal, (), n_T, t)
+
+    @pytest.mark.parametrize("coefficient", [-1.0, 0.5, 1j])
+    def test_non_unit_interaction_coefficient_rejected(self, coefficient):
+        diagonal = build_schedule(PARAMS, 1.0, 1).diagonal_block
+        with pytest.raises(ValueError, match="XXXX"):
+            TrotterSchedule(diagonal, ((pauli("XXXX", coefficient), 0.5),), 2, 1.0)
+
 
 class TestEvolution:
     def test_fidelity_one_at_zero_time(self):

@@ -104,6 +104,13 @@ def _value(args, file_cfg: dict, key: str, default):
     return default
 
 
+def _integer(value, key: str) -> int:
+    """An integral number as an int; anything else is refused, naming the key."""
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     file_cfg = _load_config(getattr(args, "config", None))
     sweep_cfg = file_cfg.get("sweep") or {}
@@ -114,22 +121,23 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         epsilon=float(_value(args, file_cfg, "epsilon", 1.0)),
         g=float(_value(args, file_cfg, "g", 0.0)),
         V=float(_value(args, file_cfg, "v", 0.0)),
-        j=int(_value(args, file_cfg, "j", 1)),
+        j=_integer(_value(args, file_cfg, "j", 1), "j"),
     )
     tf = _value(args, file_cfg, "tf", None)
     return ExperimentConfig(
         experiment=args.experiment,
         params=params,
-        n_T=int(_value(args, file_cfg, "nt", 5)),
+        n_T=_integer(_value(args, file_cfg, "nt", 5), "nt"),
         t_final=None if tf is None else float(tf),
-        samples=int(_value(args, file_cfg, "samples", 401)),
+        samples=_integer(_value(args, file_cfg, "samples", 401), "samples"),
         initial_state=str(_value(args, file_cfg, "init", "dduu")),
         sweep_start=float(_value(args, sweep_cfg, "sweep_start",
                                  sweep_cfg.get("start", 0.0))),
         sweep_stop=float(_value(args, sweep_cfg, "sweep_stop",
                                 sweep_cfg.get("stop", 1.0))),
-        sweep_points=int(_value(args, sweep_cfg, "sweep_points",
-                                sweep_cfg.get("points", 101))),
+        sweep_points=_integer(
+            _value(args, sweep_cfg, "sweep_points", sweep_cfg.get("points", 101)),
+            "sweep.sweep_points" if "sweep_points" in sweep_cfg else "sweep.points"),
         e1=float(_value(args, file_cfg, "e1", 1e-4)),
         e2=float(_value(args, file_cfg, "e2", 1e-3)),
         trotter=trotter,

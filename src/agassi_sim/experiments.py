@@ -90,8 +90,10 @@ class ExperimentConfig:
                 f"samples * 2^n = {self.samples} * 2^{self.params.n_qubits} = {size} "
                 f"amplitudes exceeds the limit of {MAX_AMPLITUDES}"
             )
-        if self.t_final is not None and not self.t_final > 0:
-            raise ValueError("t_final must be positive")
+        if self.t_final is not None and not 0 < self.t_final < np.inf:
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
+        if self.experiment == "phase_sweep" and self.params.j != 1:
+            raise ValueError(f"the phase sweep runs the j = 1 model, got j = {self.params.j}")
         if self.sweep_points < 2:
             raise ValueError("sweep_points must be at least 2")
 

@@ -25,18 +25,21 @@ equivalent gates (a four-ion MS is booked as three two-qubit gates):
   pair on the other Y (5 singles each),
 * ``YYYY``: host natively on qubit 1, X->Y pairs on the rest (7 singles).
 
-Compilation is pure and sequences are immutable; simulation owns its state.
+Compilation is pure and sequences are immutable.  :func:`simulate_sequence`
+runs a program through the rotation kernel of :mod:`agassi_sim.statevector`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Union
 
 import numpy as np
 
 from .paulis import PauliString
-from .statevector import StateVector, apply_pauli_exponential
+from .statevector import StateVector, apply_steps, rotation_steps
 from .trotter import TrotterSchedule
 
 HALF_PI = np.pi / 2
@@ -267,45 +270,42 @@ def error_budget(counts: GateCounts, e1: float, e2: float, n_T: int) -> ErrorBud
     return ErrorBudget(e1=e1, e2=e2, total=total)
 
 
-_AXIS_LETTER = {"x": "X", "y": "Y", "z": "Z"}
+@lru_cache(maxsize=256)
+def _unit_string(n: int, *sites: tuple[int, str]) -> PauliString:
+    """Unit string with letter c on each listed ``(qubit, c)``, I elsewhere."""
+    letters = dict(sites)
+    if max(letters, default=1) > n:
+        raise ValueError(f"gate qubits {sorted(letters)} exceed n={n}")
+    return PauliString(1.0, "".join(letters.get(q, "I") for q in range(1, n + 1)))
 
 
-def _single_site_string(n: int, qubit: int, axis: str) -> PauliString:
-    letters = ["I"] * n
-    letters[qubit - 1] = _AXIS_LETTER[axis]
-    return PauliString(1.0, "".join(letters))
+def _gate_layer(gate: NativeGate, n: int) -> tuple:
+    """The gate as rotation-layer entries ``(unit string, angle)``."""
+    if isinstance(gate, Rotation):
+        return ((_unit_string(n, (gate.qubit, gate.axis.upper())), gate.angle / 2),)
+    if isinstance(gate, MS):
+        # (sum_q X_q)^2 = |S| I + 2 sum_{q<r} X_q X_r, all terms commuting.
+        pairs = combinations(gate.qubits, 2)
+        return ((_unit_string(n), gate.angle * len(gate.qubits) / 4),
+                *((_unit_string(n, (q, "X"), (r, "X")), gate.angle / 2) for q, r in pairs))
+    if isinstance(gate, GlobalPhase):
+        return ((_unit_string(n), -gate.angle),)
+    raise TypeError(f"unknown gate {gate!r}")
+
+
+@lru_cache(maxsize=8)
+def _sequence_steps(sequence: GateSequence) -> tuple:
+    """Kernel factors of a whole program, cached per sequence."""
+    n = sequence.n_qubits
+    return rotation_steps(tuple(e for g in sequence.gates for e in _gate_layer(g, n)), n, np.ones(1))
 
 
 def simulate_sequence(state: StateVector, sequence: GateSequence) -> StateVector:
     """Apply every native gate of a program by its defining unitary."""
-    current = state
-    n = sequence.n_qubits
-    for gate in sequence.gates:
-        if isinstance(gate, Rotation):
-            if gate.qubit > n:
-                raise ValueError(f"gate qubit {gate.qubit} exceeds n={n}")
-            current = apply_pauli_exponential(
-                current, _single_site_string(n, gate.qubit, gate.axis), gate.angle / 2
-            )
-        elif isinstance(gate, MS):
-            if max(gate.qubits) > n:
-                raise ValueError(f"gate qubits {gate.qubits} exceed n={n}")
-            # (sum_q X_q)^2 = |S| I + 2 sum_{q<r} X_q X_r, all terms commuting.
-            amps = current.amplitudes * np.exp(-1j * gate.angle * len(gate.qubits) / 4)
-            current = StateVector(amps, n)
-            for i, q in enumerate(gate.qubits):
-                for r in gate.qubits[i + 1 :]:
-                    letters = ["I"] * n
-                    letters[q - 1] = "X"
-                    letters[r - 1] = "X"
-                    current = apply_pauli_exponential(
-                        current, PauliString(1.0, "".join(letters)), gate.angle / 2
-                    )
-        elif isinstance(gate, GlobalPhase):
-            current = StateVector(np.exp(1j * gate.angle) * current.amplitudes, n)
-        else:
-            raise TypeError(f"unknown gate {gate!r}")
-    return current
+    if state.n != sequence.n_qubits:
+        raise ValueError(f"state has {state.n} qubits, program has {sequence.n_qubits}")
+    amps = apply_steps(state.amplitudes[None, :], _sequence_steps(sequence))
+    return StateVector(amps[0], state.n)
 
 
 def sequence_to_text(sequence: GateSequence) -> str:

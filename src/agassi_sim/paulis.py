@@ -290,13 +290,13 @@ def jw_map(word: FermionWord, n: int) -> PauliSum:
     return result
 
 
-@lru_cache(maxsize=4096)
-def pauli_masks(letters: str) -> tuple[int, int, int]:
-    """Bit-mask form ``(x_mask, z_mask, n_y)`` of a letter string.
-
-    Bit ``n - q`` stands for qubit q (qubit 1 is the most significant bit).
-    X and Y set the x bit, Z and Y the z bit.  The unit string then maps
-    basis state ``|k>`` to ``i^n_y (-1)^popcount(k & z_mask) |k ^ x_mask>``.
+@lru_cache(maxsize=512)
+def pauli_action(letters: str) -> tuple[int, np.ndarray]:
+    """How a unit string acts on the basis: ``(x_mask, phase)`` with
+    ``P|k> = phase[k] |k ^ x_mask>``, where bit ``n - q`` stands for qubit q
+    (qubit 1 is the most significant bit), X and Y flip it, and
+    ``phase[k] = i^n_y (-1)^popcount(k & z_mask)`` with Z and Y in the z
+    mask.  The phase array is read-only and shared by every caller.
     """
     n = len(letters)
     x_mask = z_mask = 0
@@ -306,21 +306,28 @@ def pauli_masks(letters: str) -> tuple[int, int, int]:
             x_mask |= bit
         if c in "YZ":
             z_mask |= bit
-    return x_mask, z_mask, letters.count("Y")
-
-
-def z_signs(z_mask: int, n: int) -> np.ndarray:
-    """``(-1)^popcount(k & z_mask)`` for every basis index k of n qubits."""
     k = np.arange(2**n, dtype=np.int64)
-    return 1.0 - 2.0 * (np.bitwise_count(k & z_mask) & 1)
+    phase = 1j ** letters.count("Y") * (1.0 - 2.0 * (np.bitwise_count(k & z_mask) & 1))
+    phase.setflags(write=False)
+    return x_mask, phase
+
+
+def x_blocks(op: PauliSum) -> tuple[tuple[int, np.ndarray], ...]:
+    """The sum as one permuted diagonal per distinct x mask, ``((x, d_x), ...)``
+    with ``op|k> = sum_x d_x[k] |k ^ x>``."""
+    blocks: dict[int, np.ndarray] = {}
+    for t in op.terms:
+        x_mask, phase = pauli_action(t.letters)
+        blocks[x_mask] = blocks.get(x_mask, 0.0) + t.coefficient * phase
+    return tuple(blocks.items())
 
 
 def to_matrix(op: PauliSum | PauliString) -> np.ndarray:
     """Dense ``2^n x 2^n`` matrix of a Pauli sum or string.
 
     Guarded at ``n <= MATRIX_QUBIT_LIMIT``; intended as the small-system
-    testing oracle.  Each string fills one permuted diagonal,
-    ``M[k ^ x, k] += c i^n_y (-1)^popcount(k & z)``.
+    testing oracle.  Each x block of the sum fills one permuted diagonal,
+    ``M[k ^ x, k] = d_x[k]``.
     """
     if isinstance(op, PauliString):
         op = PauliSum.from_terms([op])
@@ -331,7 +338,6 @@ def to_matrix(op: PauliSum | PauliString) -> np.ndarray:
     dim = 2**op.n
     idx = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for t in op.terms:
-        x_mask, z_mask, n_y = pauli_masks(t.letters)
-        out[idx ^ x_mask, idx] += t.coefficient * 1j**n_y * z_signs(z_mask, op.n)
+    for x_mask, d in x_blocks(op):
+        out[idx ^ x_mask, idx] = d
     return out

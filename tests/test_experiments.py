@@ -156,6 +156,16 @@ class TestRun:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="survival", t_final=0.0)
 
+    @pytest.mark.parametrize("t_final", [np.inf, -np.inf, np.nan])
+    def test_t_final_must_be_finite(self, t_final):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(experiment="survival", t_final=t_final)
+
+    def test_phase_sweep_runs_at_j1_only(self):
+        with pytest.raises(ValueError, match="j = 2"):
+            ExperimentConfig(experiment="phase_sweep", params=ModelParams(j=2))
+        ExperimentConfig(experiment="survival", params=ModelParams(j=2))
+
     @pytest.mark.parametrize("n_T", [0, -3, 2.5])
     def test_n_T_must_be_positive_integer(self, n_T):
         with pytest.raises(ValueError, match="n_T"):
@@ -312,6 +322,29 @@ class TestCli:
         assert name in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("body,name", [
+        ("nt: 2.5\n", "nt"),
+        ("samples: 7.9\n", "samples"),
+        ("j: 1.5\n", "j"),
+        ("nt: true\n", "nt"),
+        ("sweep: {points: 2.5}\n", "sweep.points"),
+        ("sweep: {sweep_points: 2.5}\n", "sweep.sweep_points"),
+    ], ids=["nt", "samples", "j", "nt-bool", "sweep-points", "sweep-points-alias"])
+    def test_non_integral_config_value_rejected(self, tmp_path, capsys, body, name):
+        config = tmp_path / "run.yaml"
+        config.write_text(body)
+        out = tmp_path / "x.csv"
+        assert cli_main(["phase-sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert f"{name} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_config_value_accepted(self, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("nt: 2.0\ng: 1\nv: 1\ntf: 1\n")
+        out = tmp_path / "steps.csv"
+        assert cli_main(["fidelity-steps", "--config", str(config), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
     def test_config_trotter_must_be_boolean(self, tmp_path, capsys):
         config = tmp_path / "run.yaml"
         config.write_text('trotter: "false"\n')
@@ -341,7 +374,9 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["fidelity-steps", "--nt", "0"],
         ["survival", "--samples", str(10**9)],
-    ], ids=["nt-zero", "oversized-grid"])
+        ["phase-sweep", "--j", "2", "--sweep-points", "3"],
+        ["survival", "--tf", "inf"],
+    ], ids=["nt-zero", "oversized-grid", "sweep-j2", "tf-inf"])
     def test_bad_size_exits_2_without_output(self, tmp_path, capsys, flags):
         out = tmp_path / "x.csv"
         assert cli_main([*flags, "--out", str(out)]) == 2

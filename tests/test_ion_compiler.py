@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from agassi_sim.ion_compiler import (
     MS,
@@ -23,7 +24,7 @@ from agassi_sim.ion_compiler import (
     simulate_sequence,
 )
 from agassi_sim.model import INTERACTION_STRINGS, ModelParams
-from agassi_sim.paulis import PauliString, PauliSum, pauli
+from agassi_sim.paulis import PauliString, PauliSum, pauli, to_matrix
 from agassi_sim.statevector import StateVector, apply_pauli_exponential, basis_state
 from agassi_sim.trotter import TrotterSchedule, build_schedule, trotter_evolve
 
@@ -149,6 +150,32 @@ class TestMSGate:
         out = simulate_sequence(state, GateSequence(4, (MS(0.91, "x", (1, 2, 3, 4)),)))
         assert abs(out.norm() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("gate,n", [
+        (MS(0.83, "x", (1, 2)), 2),
+        (MS(0.37, "x", (3, 1, 2)), 3),
+        (MS(-1.1, "x", (1, 3, 4)), 4),
+        (MS(2.9, "x", (1, 2, 3, 4)), 4),
+        (GlobalPhase(0.61), 3),
+        (Rotation("y", 0.7, 2), 3),
+        (Rotation("z", -1.3, 1), 2),
+    ], ids=["ms2", "ms3", "ms3-of-4", "ms4", "phase", "ry", "rz"])
+    def test_single_gate_matches_expm_of_generator(self, gate, n, rng):
+        """Each gate against expm of the generator it is defined by."""
+        def site(q, letter):
+            return pauli("".join(letter if k == q else "I" for k in range(1, n + 1)))
+
+        if isinstance(gate, MS):
+            collective = PauliSum.from_terms([site(q, "X") for q in gate.qubits], n)
+            generator = gate.angle / 4 * to_matrix(collective * collective)
+        elif isinstance(gate, GlobalPhase):
+            generator = -gate.angle * to_matrix(PauliSum.identity(n))
+        else:
+            generator = gate.angle / 2 * to_matrix(site(gate.qubit, gate.axis.upper()))
+        state = random_state(rng, n)
+        out = simulate_sequence(state, GateSequence(n, (gate,)))
+        expected = expm(-1j * generator) @ state.amplitudes
+        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+
     def test_ms_needs_two_ions(self):
         with pytest.raises(ValueError):
             MS(0.5, "x", (2,))
@@ -228,6 +255,12 @@ class TestSimulateSequence:
         state = basis_state("du")
         with pytest.raises(ValueError):
             simulate_sequence(state, GateSequence(2, (Rotation("z", 0.1, 3),)))
+        with pytest.raises(ValueError):
+            simulate_sequence(state, GateSequence(2, (MS(0.1, "x", (1, 3)),)))
+
+    def test_state_size_must_match_program(self):
+        with pytest.raises(ValueError, match="qubits"):
+            simulate_sequence(basis_state("dduu"), GateSequence(2, ()))
 
 
 class TestSerialization:

@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agassi_sim.model import ModelParams, build_hamiltonian
-from agassi_sim.paulis import CapacityError, PauliSum, pauli
+from agassi_sim.paulis import CapacityError, PauliSum, pauli, to_matrix
 from agassi_sim.statevector import (
     ExactPropagator,
     StateVector,
     TimeSeries,
     apply_pauli,
     apply_pauli_exponential,
+    apply_steps,
     basis_index,
     basis_state,
     exact_evolve,
     expectation,
     fidelity,
+    rotation_steps,
 )
 
 from agassi_sim.trotter import diagonal_energies
@@ -226,6 +228,42 @@ class TestObservables:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             expectation(basis_state("du"), PauliSum.from_terms([pauli("XY", 1j)]))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_dense_matrix(self, rng, n):
+        terms = [pauli("".join(rng.choice(list("IXYZ"), size=n)), float(rng.normal()))
+                 for _ in range(4 * n)]
+        observable = PauliSum.from_terms(terms, n)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amps /= np.linalg.norm(amps)
+        expected = np.vdot(amps, to_matrix(observable) @ amps)
+        assert expectation(StateVector(amps, n), observable) == pytest.approx(
+            expected.real, abs=1e-12)
+
+
+class TestRotationKernel:
+    """A layer run by rotation_steps/apply_steps equals the ordered product
+    of its dense exponentials, whatever its x = 0 groups and orderings."""
+
+    @pytest.mark.parametrize("letters", [
+        ["ZI", "XY", "YX", "IZ", "II"],   # x = 0 first, then folded after XY+YX
+        ["XX", "YY", "XY", "ZZ", "IX"],   # XY anticommutes with XX, YY
+        ["II"],                           # a lone global phase
+        ["ZZZ", "IZI", "XIX", "YIY", "XZX", "ZII", "YYY"],
+    ])
+    def test_layer_matches_dense_product(self, rng, letters):
+        n = len(letters[0])
+        layer = tuple((pauli(s), float(rng.uniform(-2, 2))) for s in letters)
+        dts = np.array([0.0, 0.37, -1.1, 2.5])
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amps /= np.linalg.norm(amps)
+        rows = apply_steps(amps[None, :], rotation_steps(layer, n, dts), repeats=3)
+        for dt, row in zip(dts, rows):
+            step = np.eye(2**n)
+            for string, rate in layer:
+                step = dense_expm_hermitian(dense_string(string.letters), rate * dt) @ step
+            expected = np.linalg.matrix_power(step, 3) @ amps
+            assert np.max(np.abs(row - expected)) < 1e-12
 
 
 def site_by_site(letters: str, k: int) -> tuple[int, complex]:

@@ -55,11 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--init", type=str,
                        help="initial spin pattern, e.g. dduu or the arrows, default dduu")
         p.add_argument("--out", type=str, help="output CSV / report path")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--trotter", dest="trotter", action="store_true",
-                           default=None, help="include the digital curve (default)")
-        group.add_argument("--exact-only", dest="trotter", action="store_false",
-                           help="skip the digital curve")
+        if name == "correlation":
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--trotter", dest="trotter", action="store_true",
+                               default=None, help="include the digital curve (default)")
+            group.add_argument("--exact-only", dest="trotter", action="store_false",
+                               help="skip the digital curve")
         if name == "phase_sweep":
             p.add_argument("--sweep-start", type=float, help="first g=V value, default 0")
             p.add_argument("--sweep-stop", type=float, help="last g=V value, default 1")

@@ -96,6 +96,11 @@ class ExperimentConfig:
             raise ValueError(f"the phase sweep runs the j = 1 model, got j = {self.params.j}")
         if self.sweep_points < 2:
             raise ValueError("sweep_points must be at least 2")
+        if not -np.inf < self.sweep_start < self.sweep_stop < np.inf:
+            raise ValueError(
+                "the sweep needs finite sweep_start < sweep_stop, "
+                f"got {self.sweep_start!r} and {self.sweep_stop!r}"
+            )
 
 
 @dataclass(frozen=True)

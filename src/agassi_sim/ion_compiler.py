@@ -25,8 +25,10 @@ equivalent gates (a four-ion MS is booked as three two-qubit gates):
   pair on the other Y (5 singles each),
 * ``YYYY``: host natively on qubit 1, X->Y pairs on the rest (7 singles).
 
-Compilation is pure and sequences are immutable.  :func:`simulate_sequence`
-runs a program through the rotation kernel of :mod:`agassi_sim.statevector`.
+A program is one Trotter step run ``n_steps`` times; every reader works on
+that one period.  Compilation is pure and sequences are immutable.
+:func:`simulate_sequence` repeats the period through the rotation kernel of
+:mod:`agassi_sim.statevector`.
 """
 
 from __future__ import annotations
@@ -87,14 +89,19 @@ NativeGate = Union[Rotation, MS, GlobalPhase]
 
 @dataclass(frozen=True)
 class GateSequence:
-    """A compiled program: gates in application order over n_qubits ions."""
+    """A compiled program: the gates of one ``step`` in application order
+    over n_qubits ions, run ``n_steps`` times; ``len`` counts every gate."""
 
     n_qubits: int
-    gates: tuple[NativeGate, ...]
+    step: tuple[NativeGate, ...]
     n_steps: int = 1
 
+    def __post_init__(self):
+        if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
+            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
+
     def __len__(self):
-        return len(self.gates)
+        return len(self.step) * self.n_steps
 
 
 @dataclass(frozen=True)
@@ -231,33 +238,23 @@ def compile_schedule(schedule: TrotterSchedule) -> GateSequence:
     for pair in _H2_PAIRS:
         step.extend(_zz_block(pair, zz_coeff[pair] * dt))
 
-    return GateSequence(n_qubits=n, gates=tuple(step * schedule.n_T), n_steps=schedule.n_T)
+    return GateSequence(n, tuple(step), schedule.n_T)
 
 
 def count_gates(sequence: GateSequence) -> GateCounts:
     """Totals and per-step counts under the three-two-qubit-per-collective
     accounting; counts are structural and independent of gate angles."""
-    singles = sum(1 for g in sequence.gates if isinstance(g, Rotation))
+    singles = sum(1 for g in sequence.step if isinstance(g, Rotation))
     native_two = sum(
-        1 for g in sequence.gates if isinstance(g, MS) and len(g.qubits) == 2
+        1 for g in sequence.step if isinstance(g, MS) and len(g.qubits) == 2
     )
     collective = sum(
-        1 for g in sequence.gates if isinstance(g, MS) and len(g.qubits) > 2
+        1 for g in sequence.step if isinstance(g, MS) and len(g.qubits) > 2
     )
-    equivalent = 3 * collective + native_two
-    steps = max(sequence.n_steps, 1)
-    if singles % steps or equivalent % steps or collective % steps:
-        raise ValueError("sequence length is not an integer multiple of its steps")
-    return GateCounts(
-        single_qubit=singles,
-        two_qubit_equivalent=equivalent,
-        collective_ms=collective,
-        per_trotter_step=StepCounts(
-            single_qubit=singles // steps,
-            two_qubit_equivalent=equivalent // steps,
-            collective_ms=collective // steps,
-        ),
-    )
+    per_step = StepCounts(singles, 3 * collective + native_two, collective)
+    n = sequence.n_steps
+    return GateCounts(n * per_step.single_qubit, n * per_step.two_qubit_equivalent,
+                      n * per_step.collective_ms, per_step)
 
 
 def error_budget(counts: GateCounts, e1: float, e2: float, n_T: int) -> ErrorBudget:
@@ -295,23 +292,23 @@ def _gate_layer(gate: NativeGate, n: int) -> tuple:
 
 @lru_cache(maxsize=8)
 def _sequence_steps(sequence: GateSequence) -> tuple:
-    """Kernel factors of a whole program, cached per sequence."""
+    """Kernel factors of one period of a program, cached per sequence."""
     n = sequence.n_qubits
-    return rotation_steps(tuple(e for g in sequence.gates for e in _gate_layer(g, n)), n, np.ones(1))
+    return rotation_steps(tuple(e for g in sequence.step for e in _gate_layer(g, n)), n, np.ones(1))
 
 
 def simulate_sequence(state: StateVector, sequence: GateSequence) -> StateVector:
     """Apply every native gate of a program by its defining unitary."""
     if state.n != sequence.n_qubits:
         raise ValueError(f"state has {state.n} qubits, program has {sequence.n_qubits}")
-    amps = apply_steps(state.amplitudes[None, :], _sequence_steps(sequence))
+    amps = apply_steps(state.amplitudes[None, :], _sequence_steps(sequence), sequence.n_steps)
     return StateVector(amps[0], state.n)
 
 
 def sequence_to_text(sequence: GateSequence) -> str:
-    """Line-oriented serialization; angles keep full double precision."""
+    """Line-oriented serialization of every step; angles keep full double precision."""
     lines = [f"# qubits={sequence.n_qubits} steps={sequence.n_steps}"]
-    for gate in sequence.gates:
+    for gate in sequence.step:
         if isinstance(gate, Rotation):
             lines.append(f"R {gate.axis} {gate.angle!r} {gate.qubit}")
         elif isinstance(gate, MS):
@@ -319,7 +316,7 @@ def sequence_to_text(sequence: GateSequence) -> str:
             lines.append(f"MS {gate.angle!r} {gate.axis} {qubits}")
         else:
             lines.append(f"PHASE {gate.angle!r}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines[:1] + lines[1:] * sequence.n_steps) + "\n"
 
 
 def sequence_from_text(text: str) -> GateSequence:
@@ -354,4 +351,6 @@ def sequence_from_text(text: str) -> GateSequence:
                 n_qubits = max(n_qubits, gate.qubit)
             elif isinstance(gate, MS):
                 n_qubits = max(n_qubits, max(gate.qubits))
-    return GateSequence(n_qubits=n_qubits, gates=tuple(gates), n_steps=n_steps)
+    if n_steps < 1 or gates[: len(gates) // n_steps] * n_steps != gates:
+        raise ValueError(f"the {len(gates)} gate lines are not steps={n_steps} repeats of one step")
+    return GateSequence(n_qubits, tuple(gates[: len(gates) // n_steps]), n_steps)

@@ -202,7 +202,10 @@ class PauliSum:
         return self.scaled(other)
 
     def scaled(self, factor: complex) -> "PauliSum":
-        return PauliSum.from_terms([t.scaled(factor) for t in self.terms], self.n)
+        """Every coefficient times factor; the letters stay sorted and
+        distinct, so only terms at or below PRUNE_TOL are dropped."""
+        terms = (t.scaled(factor) for t in self.terms)
+        return PauliSum(tuple(t for t in terms if abs(t.coefficient) > PRUNE_TOL), self.n)
 
     def adjoint(self) -> "PauliSum":
         """Conjugate transpose (strings are Hermitian, so conjugate coefficients)."""

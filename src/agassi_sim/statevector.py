@@ -158,16 +158,15 @@ def rotation_steps(layer: tuple, n: int, dts: np.ndarray) -> tuple:
     ``exp(-i dt w)``; it folds into the group before it at no pass of its own.
     """
     x_masks, flip, w, size, coupling = _rotation_groups(layer, n)
-    angle = dts[:, None] * size[:, None, :]
-    stay, swap = np.cos(angle), np.sin(angle) * coupling[:, None, :]
-    phase = np.exp(-1j * (dts[:, None] * w.real[:, None, :]))
     steps = []
     for g, x_mask in enumerate(x_masks):
         if x_mask == 0:
+            phase = np.exp(-1j * (dts[:, None] * w[g].real))
             f, s, sw = steps.pop() if steps else (flip[g], 1.0, 0.0)
-            steps.append((f, s * phase[g], sw * phase[g]))
+            steps.append((f, s * phase, sw * phase))
         else:
-            steps.append((flip[g], stay[g], swap[g]))
+            angle = dts[:, None] * size[g]
+            steps.append((flip[g], np.cos(angle), np.sin(angle) * coupling[g]))
     return tuple(steps)
 
 

@@ -376,13 +376,25 @@ class TestCli:
         ["survival", "--samples", str(10**9)],
         ["phase-sweep", "--j", "2", "--sweep-points", "3"],
         ["survival", "--tf", "inf"],
-    ], ids=["nt-zero", "oversized-grid", "sweep-j2", "tf-inf"])
+        ["phase-sweep", "--sweep-start", "1", "--sweep-stop", "0", "--sweep-points", "3"],
+        ["phase-sweep", "--sweep-start", "0.5", "--sweep-stop", "0.5", "--sweep-points", "3"],
+        ["phase-sweep", "--sweep-start", "nan", "--sweep-points", "3"],
+    ], ids=["nt-zero", "oversized-grid", "sweep-j2", "tf-inf",
+            "sweep-descending", "sweep-empty", "sweep-nan"])
     def test_bad_size_exits_2_without_output(self, tmp_path, capsys, flags):
         out = tmp_path / "x.csv"
         assert cli_main([*flags, "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
         assert not out.exists()
         assert not out.with_suffix(".csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--trotter", "--exact-only"])
+    @pytest.mark.parametrize("name", [n for n in EXPERIMENTS if n != "correlation"])
+    def test_digital_flags_only_on_correlation(self, tmp_path, capsys, name, flag):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit):
+            cli_main([EXPERIMENTS[name].command, flag, "--out", str(out)])
+        assert not out.exists()
 
     def test_compile_report_manifest_records_default_time(self, tmp_path):
         out = tmp_path / "report.txt"

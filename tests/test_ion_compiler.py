@@ -1,5 +1,7 @@
 """Gate compilation tests: counts, budgets, unitary soundness, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,16 @@ class TestGateCounts:
         )
         counts = count_gates(compile_schedule(schedule))
         assert counts.per_trotter_step == StepCounts(52, 50, 16)
+
+    def test_counts_one_step_times_n_steps(self):
+        seq = compile_schedule(build_schedule(PARAMS, 1.0, 5))
+        assert (len(seq.step), len(seq)) == (72, 360)
+        step = (Rotation("z", 0.1, 1), MS(0.2, "x", (1, 2)),
+                MS(0.3, "x", (1, 2, 3, 4)), GlobalPhase(0.4))
+        counts = count_gates(GateSequence(4, step, 3))
+        assert counts == GateCounts(3, 12, 3, StepCounts(1, 4, 1))
+        with pytest.raises(ValueError, match="n_steps"):
+            GateSequence(4, step, 0)
 
     def test_rejects_unsupported_strings(self):
         bad = TrotterSchedule(
@@ -251,6 +263,26 @@ class TestSimulateSequence:
             reference = trotter_evolve(state, params, t, n_T)
             assert np.max(np.abs(compiled.amplitudes - reference.amplitudes)) < 1e-11
 
+    @pytest.mark.parametrize("k", [1, 3, 50])
+    def test_repeated_step_matches_unrolled_program(self, k, rng):
+        step = compile_schedule(build_schedule(PARAMS, 0.7, 1)).step
+        state = random_state(rng)
+        periodic = simulate_sequence(state, GateSequence(4, step, k))
+        unrolled = simulate_sequence(state, GateSequence(4, step * k))
+        assert np.max(np.abs(periodic.amplitudes - unrolled.amplitudes)) < 1e-12
+
+    def test_long_program_keeps_one_period(self, rng):
+        seq = compile_schedule(build_schedule(ModelParams(1.0, 0.37, 0.61), 2.3, 50))
+        state = random_state(rng)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            simulate_sequence(state, seq)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20
+
     def test_gate_qubit_bounds(self):
         state = basis_state("du")
         with pytest.raises(ValueError):
@@ -269,6 +301,23 @@ class TestSerialization:
         text = sequence_to_text(seq)
         parsed = sequence_from_text(text)
         assert parsed == seq
+
+    def test_long_program_round_trips(self):
+        seq = compile_schedule(build_schedule(PARAMS, 2.5, 50))
+        text = sequence_to_text(seq)
+        assert len(text.splitlines()) == 1 + 50 * 72
+        parsed = sequence_from_text(text)
+        assert parsed == seq
+        assert sequence_to_text(parsed) == text
+
+    @pytest.mark.parametrize("text", [
+        "# qubits=4 steps=0\nR z 0.5 1\n",
+        "# qubits=4 steps=2\nR z 0.5 1\nR z 0.25 1\n",
+        "# qubits=4 steps=2\nR z 0.5 1\nR z 0.5 1\nR z 0.5 1\n",
+    ], ids=["zero-steps", "not-periodic", "not-divisible"])
+    def test_rejects_text_that_is_not_repeats_of_one_step(self, text):
+        with pytest.raises(ValueError, match="repeats of one step"):
+            sequence_from_text(text)
 
     def test_format_lines(self):
         seq = GateSequence(4, (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +30,18 @@ _CONFIG_KEYS = frozenset({
 _SWEEP_KEYS = frozenset({
     "start", "stop", "points", "sweep_start", "sweep_stop", "sweep_points",
 })
+
+
+class _Loader(yaml.SafeLoader):
+    """Safe loader that reads ``1e-4`` as a float, as YAML 1.2 does; YAML 1.1
+    needs a dot in the mantissa and would read it as a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
 
 
 @functools.cache
@@ -84,7 +97,10 @@ def _load_config(path: Path | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+        try:
+            data = yaml.load(fh, Loader=_Loader) or {}
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a mapping")
     _reject_unknown(data, _CONFIG_KEYS, f"config file {path}")
@@ -112,37 +128,59 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _real(value, key: str) -> float:
+    """A real number as a float; a bool, a string or a collection is refused,
+    naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is out of range, got {value!r}") from None
+
+
+def _text(value, key: str) -> str:
+    """A string; anything else is refused, naming the key."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     file_cfg = _load_config(getattr(args, "config", None))
     sweep_cfg = file_cfg.get("sweep") or {}
     trotter = _value(args, file_cfg, "trotter", True)
     if not isinstance(trotter, bool):
         raise ValueError(f"trotter must be true or false, got {trotter!r}")
+
+    def value(key: str, default, check=_real):
+        found = _value(args, file_cfg, key, default)
+        return None if found is None else check(found, key)
+
+    def sweep(key: str, default, check=_real):
+        # flag --sweep-<key>, or the file's sweep.sweep_<key> or sweep.<key>
+        name = f"sweep_{key}"
+        return check(_value(args, sweep_cfg, name, sweep_cfg.get(key, default)),
+                     f"sweep.{name}" if name in sweep_cfg else f"sweep.{key}")
+
     params = ModelParams(
-        epsilon=float(_value(args, file_cfg, "epsilon", 1.0)),
-        g=float(_value(args, file_cfg, "g", 0.0)),
-        V=float(_value(args, file_cfg, "v", 0.0)),
-        j=_integer(_value(args, file_cfg, "j", 1), "j"),
+        epsilon=value("epsilon", 1.0), g=value("g", 0.0), V=value("v", 0.0),
+        j=value("j", 1, _integer),
     )
-    tf = _value(args, file_cfg, "tf", None)
     return ExperimentConfig(
         experiment=args.experiment,
         params=params,
-        n_T=_integer(_value(args, file_cfg, "nt", 5), "nt"),
-        t_final=None if tf is None else float(tf),
-        samples=_integer(_value(args, file_cfg, "samples", 401), "samples"),
-        initial_state=str(_value(args, file_cfg, "init", "dduu")),
-        sweep_start=float(_value(args, sweep_cfg, "sweep_start",
-                                 sweep_cfg.get("start", 0.0))),
-        sweep_stop=float(_value(args, sweep_cfg, "sweep_stop",
-                                sweep_cfg.get("stop", 1.0))),
-        sweep_points=_integer(
-            _value(args, sweep_cfg, "sweep_points", sweep_cfg.get("points", 101)),
-            "sweep.sweep_points" if "sweep_points" in sweep_cfg else "sweep.points"),
-        e1=float(_value(args, file_cfg, "e1", 1e-4)),
-        e2=float(_value(args, file_cfg, "e2", 1e-3)),
+        n_T=value("nt", 5, _integer),
+        t_final=value("tf", None),
+        samples=value("samples", 401, _integer),
+        initial_state=value("init", "dduu", _text),
+        sweep_start=sweep("start", 0.0),
+        sweep_stop=sweep("stop", 1.0),
+        sweep_points=sweep("points", 101, _integer),
+        e1=value("e1", 1e-4),
+        e2=value("e2", 1e-3),
         trotter=trotter,
-        out=_value(args, file_cfg, "out", None),
+        out=value("out", None, _text),
     )
 
 

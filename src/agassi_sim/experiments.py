@@ -12,11 +12,12 @@ The phase probe works on the connected correlator
 whose Rabi-oscillation amplitude under exact evolution is 4A(1-A) with
 transfer amplitude A = (g+V)^2 / ((g+V)^2 + epsilon^2); the amplitude
 saturates at 1 exactly when A >= 1/2, i.e. at and beyond the critical line
-g + V = epsilon.  Amplitudes are extracted by maximizing over a time grid
-spanning two Rabi periods (>= 200 samples per period) followed by a local
-Brent refinement of the best grid cell, which pins the extremum to far
-better than 1e-9; plain grid maxima are only good to about 1e-4, not enough
-to resolve the saturation plateau.
+g + V = epsilon.  Amplitudes are extracted by one batched search: a grid
+spanning two Rabi periods (200 samples per period), then passes of
+ZOOM_SAMPLES times on the bracket around the previous pass's best sample,
+until that bracket is at most ZOOM_WIDTH wide.  The extremum is then pinned
+to about 1e-17 in value; plain grid maxima are only good to about 1e-4, not
+enough to resolve the saturation plateau.
 
 Sweep points are independent; only the CSV writes are serialized.
 """
@@ -31,7 +32,6 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import __version__
 from .ion_compiler import compile_schedule, count_gates, error_budget, sequence_to_text
@@ -57,6 +57,16 @@ SATURATION_TOL = 1e-6
 
 MAX_AMPLITUDES = 2**24
 """Largest time grid accepted, counted as samples * 2^n amplitudes (256 MiB)."""
+
+ZOOM_SAMPLES = 65
+"""Times per refinement pass: 64 intervals shrink the bracket 32-fold a pass,
+so five passes take the grid's best cell (at most pi/100 wide at epsilon = 1)
+below ZOOM_WIDTH."""
+
+ZOOM_WIDTH = 1e-9
+"""Bracket width at which the search stops.  The last spacing is then at most
+5e-10, so the value at the best sample is within f'' s^2 / 2 ~ 1e-17 of the
+maximum, below the rounding of the observable itself."""
 
 
 @dataclass(frozen=True)
@@ -168,57 +178,35 @@ def _survival_values(states: np.ndarray, initial: StateVector) -> np.ndarray:
     return np.abs(states @ initial.amplitudes.conj()) ** 2
 
 
-def _refine_max(f, t_lo: float, t_hi: float) -> float:
-    """Maximum of a smooth scalar function on a bracket, by Brent search."""
-    if t_hi <= t_lo:
-        return f(t_lo)
-    res = minimize_scalar(
-        lambda t: -f(t), bounds=(t_lo, t_hi), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return max(-res.fun, f(t_lo), f(t_hi))
-
-
-def _grid_max_refined(f, times: np.ndarray, values: np.ndarray) -> float:
-    """Grid maximum improved by refining the best grid cell."""
-    k = int(np.argmax(values))
-    lo = times[max(k - 1, 0)]
-    hi = times[min(k + 1, len(times) - 1)]
-    return max(float(values[k]), _refine_max(f, lo, hi))
-
-
-def amplitude_time_grid(params: ModelParams, samples_per_period: int = 200,
-                        periods: float = 2.0) -> np.ndarray:
-    period = rabi_period(params)
-    n_samples = max(int(np.ceil(samples_per_period * periods)) + 1, 2)
-    return np.linspace(0.0, periods * period, n_samples)
-
-
 def _two_period_max(cfg: ExperimentConfig, observable: Callable, *,
                     trotterized: bool = False) -> float:
-    """Maximum of ``observable(states, initial)`` over two Rabi periods: one
-    batched pass on the grid, then Brent refinement of the best grid cell
-    through single states, under exact or (``trotterized``) digital evolution."""
+    """Maximum of ``observable(states, initial)`` over two Rabi periods, under
+    exact or (``trotterized``) digital evolution: one batched pass on the grid,
+    then batched passes on the bracket around the previous pass's best sample,
+    until the bracket is at most ZOOM_WIDTH wide or stops shrinking (the float
+    spacing of t reached)."""
     params = cfg.params
     initial = _initial(cfg)
-    times = amplitude_time_grid(params)
     if trotterized:
-        states = trotter_states_at(initial, params, times, cfg.n_T)
-        state_at = partial(trotter_evolve, initial, params, n_T=cfg.n_T)
+        states_at = partial(trotter_states_at, initial, params, n_T=cfg.n_T)
     else:
-        propagator = _propagator(params)
-        states = propagator.states_at(initial, times)
-        state_at = partial(propagator.evolve, initial)
-
-    def value_at(t: float) -> float:
-        return float(observable(state_at(t).amplitudes[None, :], initial)[0])
-
-    return _grid_max_refined(value_at, times, observable(states, initial))
+        states_at = partial(_propagator(params).states_at, initial)
+    times = np.linspace(0.0, 2 * rabi_period(params), 401)
+    best, width = -np.inf, np.inf
+    while True:
+        values = observable(states_at(times), initial)
+        k = int(np.argmax(values))
+        best = max(best, float(values[k]))
+        lo, hi = times[max(k - 1, 0)], times[min(k + 1, len(times) - 1)]
+        if hi - lo <= ZOOM_WIDTH or hi - lo >= width:
+            return best
+        width = hi - lo
+        times = np.linspace(lo, hi, ZOOM_SAMPLES)
 
 
 def amplitude(cfg: ExperimentConfig, *, trotterized: bool = False) -> float:
-    """Oscillation amplitude of corr_z12: the maximum over a grid covering
-    two Rabi periods, refined locally to machine precision.
+    """Oscillation amplitude of corr_z12: the maximum over two Rabi periods,
+    found by a grid pass and batched zoom passes to machine precision.
 
     With ``trotterized=True`` the digital evolution at cfg.n_T replaces the
     exact one (each sample time is reached in n_T steps).  A vanishing
@@ -232,8 +220,8 @@ def amplitude(cfg: ExperimentConfig, *, trotterized: bool = False) -> float:
 
 
 def survival_minimum(cfg: ExperimentConfig) -> float:
-    """Minimum of the exact survival probability over two Rabi periods,
-    grid-scanned and locally refined."""
+    """Minimum of the exact survival probability over two Rabi periods, by
+    the same grid and zoom passes."""
     return -_two_period_max(cfg, lambda states, initial: -_survival_values(states, initial))
 
 
@@ -388,8 +376,9 @@ def _sweep_rows(cfg: ExperimentConfig) -> Iterable[tuple]:
 @dataclass(frozen=True)
 class Experiment:
     """One experiment: its CLI subcommand, its CSV columns and ``rows(cfg)``,
-    which computes it and yields the CSV rows.  The compile report writes a
-    text report and a gate file instead, and has no columns."""
+    which computes it before it returns (so a refused run writes nothing) and
+    yields the CSV rows.  The compile report writes a text report and a gate
+    file instead, and has no columns."""
 
     command: str
     columns: tuple[str, ...] = ()
@@ -421,15 +410,19 @@ def run(cfg: ExperimentConfig) -> list[Path]:
     if cfg.out is None:
         raise ValueError("an output path is required")
     out = Path(cfg.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     experiment = EXPERIMENTS[cfg.experiment]
     extra: dict | None = None
+    # each branch computes its result before creating the output directory,
+    # so a refused run leaves nothing behind
     if experiment.columns:
-        _write_csv(out, experiment.columns, experiment.rows(cfg))
+        rows = experiment.rows(cfg)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _write_csv(out, experiment.columns, rows)
         outputs = [out]
     else:
         report, program = compile_report_text(cfg)
+        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(report)
         print(report, end="")
         gates_path = out.with_suffix(out.suffix + ".gates.txt")

@@ -51,6 +51,11 @@ class CompilationError(ValueError):
     """Raised for schedules outside the supported gate templates."""
 
 
+def _require_finite(angle: float) -> None:
+    if not np.isfinite(angle):
+        raise ValueError(f"gate angles must be finite, got {angle!r}")
+
+
 @dataclass(frozen=True)
 class Rotation:
     axis: str
@@ -60,6 +65,7 @@ class Rotation:
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"rotation axis must be x, y or z, got {self.axis!r}")
+        _require_finite(self.angle)
         if self.qubit < 1:
             raise ValueError(f"qubit indices are 1-based, got {self.qubit}")
 
@@ -71,6 +77,7 @@ class MS:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
+        _require_finite(self.angle)
         if self.axis != "x":
             raise ValueError("only x-basis MS gates are emitted by this compiler")
         if len(self.qubits) < 2:
@@ -82,6 +89,9 @@ class MS:
 @dataclass(frozen=True)
 class GlobalPhase:
     angle: float
+
+    def __post_init__(self):
+        _require_finite(self.angle)
 
 
 NativeGate = Union[Rotation, MS, GlobalPhase]
@@ -99,6 +109,10 @@ class GateSequence:
     def __post_init__(self):
         if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
+        top = max((max(g.qubits) if isinstance(g, MS) else g.qubit
+                   for g in self.step if not isinstance(g, GlobalPhase)), default=0)
+        if top > self.n_qubits:
+            raise ValueError(f"gate qubit {top} exceeds n_qubits={self.n_qubits}")
 
     def __len__(self):
         return len(self.step) * self.n_steps
@@ -271,8 +285,6 @@ def error_budget(counts: GateCounts, e1: float, e2: float, n_T: int) -> ErrorBud
 def _unit_string(n: int, *sites: tuple[int, str]) -> PauliString:
     """Unit string with letter c on each listed ``(qubit, c)``, I elsewhere."""
     letters = dict(sites)
-    if max(letters, default=1) > n:
-        raise ValueError(f"gate qubits {sorted(letters)} exceed n={n}")
     return PauliString(1.0, "".join(letters.get(q, "I") for q in range(1, n + 1)))
 
 

@@ -45,7 +45,7 @@ class StateVector:
                 f"expected {2**self.n} amplitudes for n={self.n}, got shape {amps.shape}"
             )
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
             raise ValueError(f"state norm {nrm} is not 1 within {NORM_TOL}")
         self.amplitudes = amps
 

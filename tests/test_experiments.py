@@ -1,10 +1,15 @@
 """Experiment-runner tests: observables, amplitude extraction, CSV output, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import agassi_sim
 from agassi_sim.cli import main as cli_main
 from agassi_sim.experiments import (
     EXPERIMENTS,
@@ -74,6 +79,12 @@ class TestAmplitude:
         value = amplitude(cfg_for("correlation", g, v))
         assert value == pytest.approx(expected, abs=tol)
         assert value == pytest.approx(oracle_amplitude(1.0, g + v), abs=tol)
+
+    @pytest.mark.parametrize("eps", [0.93, 1.0, 1.07])
+    @pytest.mark.parametrize("gv", [0.2, 0.37, 0.9, 1.6])
+    def test_zoom_pins_the_closed_form(self, eps, gv):
+        cfg = ExperimentConfig("correlation", params=ModelParams(epsilon=eps, g=gv / 2, V=gv / 2))
+        assert abs(amplitude(cfg) - oracle_amplitude(eps, gv)) < 1e-13
 
     def test_degenerate_coupling_gives_zero(self):
         assert amplitude(cfg_for("correlation", 0.5, -0.5)) == 0.0
@@ -337,6 +348,51 @@ class TestCli:
         assert cli_main(["phase-sweep", "--config", str(config), "--out", str(out)]) == 2
         assert f"{name} must be an integer" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,body,name", [
+        ("phase-sweep", "g: [1, 2]\n", "g"),
+        ("phase-sweep", "g: {a: 1}\n", "g"),
+        ("phase-sweep", "sweep: {start: [0]}\n", "sweep.start"),
+        ("survival", "sweep: {sweep_stop: x}\n", "sweep.sweep_stop"),
+        ("survival", "epsilon: true\n", "epsilon"),
+        ("survival", "epsilon: '1.5'\n", "epsilon"),
+        ("survival", "tf: '2'\n", "tf"),
+        ("compile-report", "e1: [0.1]\n", "e1"),
+        ("survival", "init: 5\n", "init"),
+        ("survival", "out: 5\n", "out"),
+        ("survival", "g: [1\n", "run.yaml"),
+    ], ids=["g-list", "g-mapping", "sweep-start-list", "sweep-stop-on-survival",
+            "epsilon-bool", "epsilon-string", "tf-string", "e1-list", "init-number",
+            "out-number", "malformed-yaml"])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, command, body, name):
+        config = tmp_path / "run.yaml"
+        config.write_text(body)
+        argv = [command, "--config", str(config)]
+        if "out:" not in body:
+            argv += ["--out", str(tmp_path / "new" / "x.csv")]
+        assert cli_main(argv) == 2
+        assert name in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+    def test_exponent_without_dot_read_as_number(self, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("e1: 1e-4\ne2: 2E-3\nnt: 1\n")
+        out = tmp_path / "report.txt"
+        assert cli_main(["compile-report", "--config", str(config), "--out", str(out)]) == 0
+        manifest = json.loads(out.with_suffix(".txt.manifest.json").read_text())
+        assert (manifest["parameters"]["e1"], manifest["parameters"]["e2"]) == (1e-4, 2e-3)
+
+    def test_refused_run_creates_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "x.csv"
+        assert cli_main(["survival", "--init", "dd", "--out", str(out)]) == 2
+        assert "qubits" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = "import agassi_sim.cli, sys; assert 'scipy' not in sys.modules"
+        src = str(Path(agassi_sim.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_integral_float_config_value_accepted(self, tmp_path):
         config = tmp_path / "run.yaml"

@@ -339,3 +339,15 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             sequence_from_text("HADAMARD 1\n")
+
+    @pytest.mark.parametrize("line", [
+        "R x nan 1", "R z inf 2", "MS nan x 1,2", "PHASE -inf",
+    ])
+    def test_rejects_non_finite_angles(self, line):
+        with pytest.raises(ValueError, match="finite"):
+            sequence_from_text(f"# qubits=2 steps=1\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["R x 0.1 7", "MS 0.1 x 1,3"])
+    def test_rejects_gates_beyond_the_program_ions(self, line):
+        with pytest.raises(ValueError, match="exceeds n_qubits=2"):
+            sequence_from_text(f"# qubits=2 steps=1\n{line}\n")

@@ -78,6 +78,10 @@ class TestBasisStates:
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 0.0, 0.0], dtype=complex), 1)
 
+    def test_nan_amplitudes_rejected(self):
+        with pytest.raises(ValueError, match="norm nan"):
+            StateVector(np.array([np.nan, 0.0], dtype=complex), 1)
+
 
 class TestPauliExponential:
     def test_zero_angle_is_identity(self):
@@ -109,6 +113,10 @@ class TestPauliExponential:
             apply_pauli_exponential(state, pauli("XY", 0.5), 0.1)
         with pytest.raises(ValueError):
             apply_pauli_exponential(state, pauli("XY", 1j), 0.1)
+
+    def test_nan_angle_rejected(self):
+        with pytest.raises(ValueError, match="norm nan"):
+            apply_pauli_exponential(basis_state("du"), pauli("XY"), np.nan)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0, allow_nan=False))

@@ -33,8 +33,18 @@ _SWEEP_KEYS = frozenset({
 
 
 class _Loader(yaml.SafeLoader):
-    """Safe loader that reads ``1e-4`` as a float, as YAML 1.2 does; YAML 1.1
-    needs a dot in the mantissa and would read it as a string."""
+    """Safe loader that reads ``1e-4`` as a float, as YAML 1.2 does (YAML 1.1
+    needs a dot in the mantissa and would read it as a string), and refuses
+    a mapping that gives a key twice instead of keeping the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [self.construct_object(k, deep=deep) for k, _ in node.value
+                if k.tag != "tag:yaml.org,2002:merge"]
+        repeated = sorted({str(k) for k in keys if keys.count(k) > 1})
+        if repeated:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"key(s) {', '.join(repeated)} given twice", node.start_mark)
+        return super().construct_mapping(node, deep)
 
 
 _Loader.add_implicit_resolver(
@@ -109,6 +119,11 @@ def _load_config(path: Path | None) -> dict:
         if not isinstance(sweep, dict):
             raise ValueError(f"'sweep' in config file {path} must hold a mapping")
         _reject_unknown(sweep, _SWEEP_KEYS, f"'sweep' of config file {path}")
+        both = [f"{k} and sweep_{k}" for k in ("start", "stop", "points")
+                if k in sweep and f"sweep_{k}" in sweep]
+        if both:
+            raise ValueError(f"'sweep' of config file {path} gives {'; '.join(both)}; "
+                             "use one spelling")
     return data
 
 

@@ -36,21 +36,9 @@ import numpy as np
 from . import __version__
 from .ion_compiler import compile_schedule, count_gates, error_budget, sequence_to_text
 from .model import ModelParams, build_hamiltonian, critical_line
-from .paulis import PauliString, PauliSum
-from .statevector import (
-    ExactPropagator,
-    StateVector,
-    TimeSeries,
-    _cached_propagator,
-    basis_state,
-    fidelity,
-)
-from .trotter import (
-    build_schedule,
-    diagonal_energies,
-    trotter_evolve,
-    trotter_states_at,
-)
+from .paulis import pauli_action
+from .statevector import ExactPropagator, StateVector, TimeSeries, basis_state, fidelity
+from .trotter import build_schedule, trotter_evolve, trotter_states_at
 
 SATURATION_TOL = 1e-6
 """An amplitude within this distance of 1 counts as saturated (broken phase)."""
@@ -92,6 +80,9 @@ class ExperimentConfig:
             )
         if not (isinstance(self.n_T, int) and self.n_T >= 1):
             raise ValueError(f"n_T must be a positive integer, got {self.n_T!r}")
+        for name, rate in (("e1", self.e1), ("e2", self.e2)):
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {rate!r}")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
         size = self.samples * 2**self.params.n_qubits
@@ -149,29 +140,18 @@ def _initial(cfg: ExperimentConfig) -> StateVector:
 
 
 @lru_cache(maxsize=8)
-def _z_observables(n: int) -> tuple[PauliSum, PauliSum, PauliSum]:
-    def single(q):
-        letters = ["I"] * n
-        letters[q - 1] = "Z"
-        return PauliSum.from_terms([PauliString(1.0, "".join(letters))], n)
-
-    z1, z2 = single(1), single(2)
-    return z1, z2, z1 * z2
+def _z_observables(n: int) -> np.ndarray:
+    """Z1, Z2 and Z1 Z2 on every basis state of n qubits, one row each."""
+    signs = np.array([pauli_action(z + "I" * (n - 2))[1].real for z in ("ZI", "IZ", "ZZ")])
+    signs.setflags(write=False)
+    return signs
 
 
 def _corr_from_states(states: np.ndarray, n: int) -> np.ndarray:
     """corr_z12 for a batch of states, shape (len(times), 2^n)."""
     z1, z2, z12 = _z_observables(n)
     prob = np.abs(states) ** 2
-    e1 = prob @ diagonal_energies(z1)
-    e2 = prob @ diagonal_energies(z2)
-    e12 = prob @ diagonal_energies(z12)
-    return e12 - e1 * e2
-
-
-def _propagator(params: ModelParams) -> ExactPropagator:
-    """The spectral propagator of H(params), cached per Hamiltonian."""
-    return _cached_propagator(build_hamiltonian(params))
+    return prob @ z12 - (prob @ z1) * (prob @ z2)
 
 
 def _survival_values(states: np.ndarray, initial: StateVector) -> np.ndarray:
@@ -190,7 +170,7 @@ def _two_period_max(cfg: ExperimentConfig, observable: Callable, *,
     if trotterized:
         states_at = partial(trotter_states_at, initial, params, n_T=cfg.n_T)
     else:
-        states_at = partial(_propagator(params).states_at, initial)
+        states_at = partial(ExactPropagator(build_hamiltonian(params)).states_at, initial)
     times = np.linspace(0.0, 2 * rabi_period(params), 401)
     best, width = -np.inf, np.inf
     while True:
@@ -235,7 +215,7 @@ def _exact_grid(cfg: ExperimentConfig) -> tuple[StateVector, np.ndarray, np.ndar
     """The initial state, the output time grid and the exact states on it."""
     initial = _initial(cfg)
     times = np.linspace(0.0, default_t_final(cfg), cfg.samples)
-    return initial, times, _propagator(cfg.params).states_at(initial, times)
+    return initial, times, ExactPropagator(build_hamiltonian(cfg.params)).states_at(initial, times)
 
 
 def fidelity_time_series(cfg: ExperimentConfig) -> TimeSeries:
@@ -252,7 +232,7 @@ def fidelity_vs_steps(cfg: ExperimentConfig, max_steps: int | None = None) -> tu
     initial = _initial(cfg)
     t_final = default_t_final(cfg)
     max_steps = max_steps if max_steps is not None else cfg.n_T
-    exact = _propagator(params).evolve(initial, t_final)
+    exact = ExactPropagator(build_hamiltonian(params)).evolve(initial, t_final)
     steps = np.arange(1, max_steps + 1)
     fids = np.array([
         fidelity(exact, trotter_evolve(initial, params, t_final, int(m)))

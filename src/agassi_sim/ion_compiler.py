@@ -281,7 +281,6 @@ def error_budget(counts: GateCounts, e1: float, e2: float, n_T: int) -> ErrorBud
     return ErrorBudget(e1=e1, e2=e2, total=total)
 
 
-@lru_cache(maxsize=256)
 def _unit_string(n: int, *sites: tuple[int, str]) -> PauliString:
     """Unit string with letter c on each listed ``(qubit, c)``, I elsewhere."""
     letters = dict(sites)

@@ -156,15 +156,16 @@ def _coupling_free_blocks(j: int) -> tuple[PauliSum, PauliSum, PauliSum]:
     return ops["Jzero"], pair, jpm2
 
 
-@lru_cache(maxsize=128)
 def build_hamiltonian(params: ModelParams) -> PauliSum:
-    """Agassi Hamiltonian on 4j qubits, built from the collective operators.
+    """Agassi Hamiltonian on 4j qubits, built from the collective operators
+    as one weighted merge of the three coupling-free blocks.
 
     The identity component (a constant energy offset, -g/2 at j=1) is
     removed so that the result coincides with the j=1 split form.
     """
-    jzero, pair, jpm2 = _coupling_free_blocks(params.j)
-    h = params.epsilon * jzero - params.g * pair - 0.5 * params.V * jpm2
+    weights = (params.epsilon, -params.g, -params.V / 2)
+    blocks = zip(_coupling_free_blocks(params.j), weights)
+    h = PauliSum.from_terms((t.scaled(w) for block, w in blocks for t in block), params.n_qubits)
     return h.without_identity()
 
 

@@ -108,6 +108,15 @@ def basis_state(pattern) -> StateVector:
     return StateVector(amps, n)
 
 
+def _finite(values, name: str) -> np.ndarray:
+    """values as a float array; a NaN or infinite entry is refused before it
+    reaches a cos, sin or exp."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, got {values}")
+    return values
+
+
 def apply_pauli(state: StateVector, p: PauliString) -> np.ndarray:
     """Raw amplitudes of ``p|state>`` (coefficient included, no norm check)."""
     if p.n != state.n:
@@ -183,6 +192,7 @@ def apply_pauli_exponential(state: StateVector, p: PauliString, theta: float) ->
     """exp(-i theta P) |state> for a Pauli string with coefficient +1 or -1
     (a sign flip of theta): a one-entry rotation layer run for a step theta.
     """
+    _finite(theta, "theta")
     c = p.coefficient
     if abs(c.imag) > 1e-12 or abs(abs(c.real) - 1.0) > 1e-12:
         raise ValueError(f"coefficient must be +1 or -1, got {c}")
@@ -205,27 +215,20 @@ class ExactPropagator:
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(matrix)
 
     def evolve(self, state: StateVector, t: float) -> StateVector:
-        coeffs = self.eigenvectors.conj().T @ state.amplitudes
-        amps = self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * coeffs)
-        return StateVector(amps, self.n)
+        return StateVector(self.states_at(state, [t])[0], self.n)
 
     def states_at(self, state: StateVector, times: np.ndarray) -> np.ndarray:
         """Amplitudes at many times, shape (len(times), 2^n)."""
         coeffs = self.eigenvectors.conj().T @ state.amplitudes
-        phases = np.exp(-1j * np.outer(np.asarray(times, float), self.eigenvalues))
+        phases = np.exp(-1j * np.outer(_finite(times, "times"), self.eigenvalues))
         return (phases * coeffs) @ self.eigenvectors.T
-
-
-@lru_cache(maxsize=64)
-def _cached_propagator(hamiltonian: PauliSum) -> ExactPropagator:
-    return ExactPropagator(hamiltonian)
 
 
 def exact_evolve(state: StateVector, hamiltonian: PauliSum, t: float) -> StateVector:
     """exp(-iHt)|state> through the dense spectral oracle."""
     if hamiltonian.n != state.n:
         raise ValueError(f"qubit counts differ: {hamiltonian.n} vs {state.n}")
-    return _cached_propagator(hamiltonian).evolve(state, t)
+    return ExactPropagator(hamiltonian).evolve(state, t)
 
 
 def expectation(state: StateVector, observable: PauliSum) -> float:

@@ -18,13 +18,12 @@ General j has no closed split and is not supported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .model import INTERACTION_STRINGS, ModelParams, build_hamiltonian, build_split_j1
-from .paulis import PauliString, PauliSum, x_blocks
-from .statevector import StateVector, apply_steps, exact_evolve, fidelity, rotation_steps
+from .paulis import PauliString, PauliSum
+from .statevector import StateVector, _finite, apply_steps, exact_evolve, fidelity, rotation_steps
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,8 @@ class TrotterSchedule:
     def __post_init__(self):
         if not (isinstance(self.n_T, int) and self.n_T >= 1):
             raise ValueError(f"n_T must be a positive integer, got {self.n_T!r}")
-        if not self.t >= 0:
-            raise ValueError(f"t must be nonnegative, got {self.t!r}")
+        if not 0 <= self.t < np.inf:
+            raise ValueError(f"t must be nonnegative and finite, got {self.t!r}")
         for string, _ in self.interaction_layer:
             if string.coefficient != 1:
                 raise ValueError(
@@ -81,18 +80,6 @@ def build_schedule(params: ModelParams, t: float, n_T: int) -> TrotterSchedule:
     )
 
 
-@lru_cache(maxsize=256)
-def diagonal_energies(diagonal_block: PauliSum) -> np.ndarray:
-    """Eigenvalue of a Z-only sum on every computational basis state."""
-    energies = np.zeros(2**diagonal_block.n)
-    for x_mask, d in x_blocks(diagonal_block):
-        if x_mask:
-            raise ValueError(f"{diagonal_block} is not diagonal in the z basis")
-        energies += d.real
-    energies.setflags(write=False)
-    return energies
-
-
 def _batched_schedule_steps(state: StateVector, schedule: TrotterSchedule,
                             dts: np.ndarray) -> np.ndarray:
     """The state after schedule.n_T steps of each size in dts, one row per
@@ -119,7 +106,7 @@ def trotter_states_at(state: StateVector, params: ModelParams,
     size; shape (len(times), 2^n).  The per-time results are identical to
     ``trotter_evolve`` but the grid is advanced as one batch."""
     schedule = build_schedule(params, 1.0, n_T)
-    return _batched_schedule_steps(state, schedule, np.asarray(times, dtype=float) / n_T)
+    return _batched_schedule_steps(state, schedule, _finite(times, "times") / n_T)
 
 
 def digital_error(state: StateVector, params: ModelParams, t: float, n_T: int) -> float:

@@ -167,6 +167,12 @@ class TestRun:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="survival", t_final=0.0)
 
+    @pytest.mark.parametrize("rates", [{"e1": 5.0}, {"e1": -1e-3}, {"e2": np.nan}])
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_gate_errors_must_lie_in_unit_interval(self, experiment, rates):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            ExperimentConfig(experiment=experiment, **rates)
+
     @pytest.mark.parametrize("t_final", [np.inf, -np.inf, np.nan])
     def test_t_final_must_be_finite(self, t_final):
         with pytest.raises(ValueError, match="finite"):
@@ -361,9 +367,17 @@ class TestCli:
         ("survival", "init: 5\n", "init"),
         ("survival", "out: 5\n", "out"),
         ("survival", "g: [1\n", "run.yaml"),
+        ("survival", "e1: 5\n", "e1 must lie in [0, 1]"),
+        ("survival", "g: 0.1\ng: 0.9\n", "run.yaml is not valid YAML: key(s) g given twice"),
+        ("phase-sweep", "sweep:\n  points: 3\n  points: 4\n", "key(s) points given twice"),
+        ("phase-sweep", "sweep: {start: 0.1, sweep_start: 0.2}\n",
+         "run.yaml gives start and sweep_start"),
+        ("phase-sweep", "sweep: {stop: 0.9, sweep_stop: 0.8, points: 3, sweep_points: 4}\n",
+         "gives stop and sweep_stop; points and sweep_points"),
     ], ids=["g-list", "g-mapping", "sweep-start-list", "sweep-stop-on-survival",
             "epsilon-bool", "epsilon-string", "tf-string", "e1-list", "init-number",
-            "out-number", "malformed-yaml"])
+            "out-number", "malformed-yaml", "e1-out-of-range-on-survival", "key-twice",
+            "sweep-key-twice", "sweep-both-spellings", "sweep-two-pairs"])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, command, body, name):
         config = tmp_path / "run.yaml"
         config.write_text(body)
@@ -373,6 +387,21 @@ class TestCli:
         assert cli_main(argv) == 2
         assert name in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+    def test_reproduce_figures_script(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(agassi_sim.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-W", "error", str(root / "scripts" / "reproduce_figures.py"),
+             "--outdir", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        manifests = sorted(tmp_path.glob("*.manifest.json"))
+        assert len(manifests) == 11
+        for manifest in manifests:
+            outputs = json.loads(manifest.read_text())["outputs"]
+            assert outputs[0] == str(manifest).removesuffix(".manifest.json")
+            assert all(Path(path).is_file() for path in outputs)
 
     def test_exponent_without_dot_read_as_number(self, tmp_path):
         config = tmp_path / "run.yaml"
@@ -435,8 +464,10 @@ class TestCli:
         ["phase-sweep", "--sweep-start", "1", "--sweep-stop", "0", "--sweep-points", "3"],
         ["phase-sweep", "--sweep-start", "0.5", "--sweep-stop", "0.5", "--sweep-points", "3"],
         ["phase-sweep", "--sweep-start", "nan", "--sweep-points", "3"],
+        ["compile-report", "--e1", "5"],
+        ["compile-report", "--e2", "nan"],
     ], ids=["nt-zero", "oversized-grid", "sweep-j2", "tf-inf",
-            "sweep-descending", "sweep-empty", "sweep-nan"])
+            "sweep-descending", "sweep-empty", "sweep-nan", "e1-above-one", "e2-nan"])
     def test_bad_size_exits_2_without_output(self, tmp_path, capsys, flags):
         out = tmp_path / "x.csv"
         assert cli_main([*flags, "--out", str(out)]) == 2

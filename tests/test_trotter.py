@@ -72,6 +72,15 @@ class TestSchedule:
         with pytest.raises(ValueError):
             build_schedule(PARAMS, -1.0, 3)
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+            build_schedule(PARAMS, t, 5)
+        with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+            trotter_evolve(basis_state("dduu"), PARAMS, t, 5)
+        with pytest.raises(ValueError, match="times must be finite"):
+            trotter_states_at(basis_state("dduu"), PARAMS, np.array([0.0, t]), 5)
+
     @pytest.mark.parametrize("n_T,t", [(0, 1.0), (-2, 1.0), (2.0, 1.0), (3, -0.5)])
     def test_hand_built_schedule_checks_steps_and_time(self, n_T, t):
         diagonal = build_schedule(PARAMS, 1.0, 1).diagonal_block

@@ -14,22 +14,57 @@ import argparse
 import functools
 import re
 import sys
+from collections import namedtuple
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
 
+from .checks import boolean, integer, real, text
 from .experiments import EXPERIMENTS, ExperimentConfig, run
 from .model import ModelParams
 
-# Top-level keys a YAML config file may hold; each defaults the flag of the
-# same name, and ``sweep`` holds the phase-sweep grid.
-_CONFIG_KEYS = frozenset({
-    "epsilon", "g", "v", "j", "nt", "tf", "samples", "init", "out", "trotter",
-    "e1", "e2", "sweep",
-})
-_SWEEP_KEYS = frozenset({
-    "start", "stop", "points", "sweep_start", "sweep_stop", "sweep_points",
-})
+
+def _integer(value, key: str) -> int:
+    """An integral number as an int: a config file's ``2.0`` is read as 2."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    return integer(value, key)
+
+
+# Each option is one row: its config-file key, also its flag (``_`` spelled
+# ``-``); the ModelParams or ExperimentConfig field it sets, whose default
+# holds unless a flag or the file gives it; its check; the experiment whose
+# subcommand offers the flag (None: all); and the flag's help.
+_Option = namedtuple("_Option", "key field check command help")
+_OPTIONS = (  # in flag order
+    _Option("epsilon", "epsilon", real, None, "level splitting (energy unit), default 1"),
+    _Option("g", "g", real, None, "pairing strength, default 0"),
+    _Option("v", "V", real, None, "monopole strength, default 0"),
+    _Option("j", "j", _integer, None, "half-degeneracy, default 1"),
+    _Option("nt", "n_T", _integer, None,
+            "Trotter steps (for fidelity-steps: the largest step count)"),
+    _Option("tf", "t_final", real, None,
+            "final time in units 1/epsilon (default: (g+V) t spans [0,10])"),
+    _Option("samples", "samples", _integer, None, "time-grid size, default 401"),
+    _Option("init", "initial_state", text, None,
+            "initial spin pattern, e.g. dduu or the arrows, default 'd'*2j + 'u'*2j "
+            "(dduu at j=1)"),
+    _Option("out", "out", text, None, "output CSV / report path"),
+    _Option("trotter", "trotter", boolean, "correlation", "include the digital curve (default)"),
+    _Option("e1", "e1", real, "compile_report", "single-qubit gate error, default 1e-4"),
+    _Option("e2", "e2", real, "compile_report", "two-qubit gate error, default 1e-3"),
+)
+# The grid under ``sweep`` in a config file, each key also spelled without ``sweep_``.
+_SWEEP_OPTIONS = (
+    _Option("sweep_start", "sweep_start", real, "phase_sweep", "first g=V value, default 0"),
+    _Option("sweep_stop", "sweep_stop", real, "phase_sweep", "last g=V value, default 1"),
+    _Option("sweep_points", "sweep_points", _integer, "phase_sweep", "grid size, default 101"),
+)
+_SWEEP_ALIAS = {o.key: o.key.removeprefix("sweep_") for o in _SWEEP_OPTIONS}
+_CONFIG_KEYS = frozenset({o.key for o in _OPTIONS} | {"sweep"})
+_SWEEP_KEYS = frozenset(_SWEEP_ALIAS) | frozenset(_SWEEP_ALIAS.values())
+_FLAG_TYPE = {real: float, _integer: int, text: str}
 
 
 class _Loader(yaml.SafeLoader):
@@ -56,7 +91,7 @@ _Loader.add_implicit_resolver(
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process from the experiment table."""
+    """The parser, built once per process from the experiment and option tables."""
     parser = argparse.ArgumentParser(
         prog="agassi-sim",
         description="Run digital-simulation experiments for the four-site Agassi model.",
@@ -66,31 +101,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(experiment.command, help=f"run the {name} experiment")
         p.set_defaults(experiment=name)
         p.add_argument("--config", type=Path, help="YAML file with default values")
-        p.add_argument("--epsilon", type=float, help="level splitting (energy unit), default 1")
-        p.add_argument("--g", type=float, help="pairing strength, default 0")
-        p.add_argument("--v", type=float, help="monopole strength, default 0")
-        p.add_argument("--j", type=int, help="half-degeneracy, default 1")
-        p.add_argument("--nt", type=int,
-                       help="Trotter steps (for fidelity-steps: the largest step count)")
-        p.add_argument("--tf", type=float,
-                       help="final time in units 1/epsilon (default: (g+V) t spans [0,10])")
-        p.add_argument("--samples", type=int, help="time-grid size, default 401")
-        p.add_argument("--init", type=str,
-                       help="initial spin pattern, e.g. dduu or the arrows, default dduu")
-        p.add_argument("--out", type=str, help="output CSV / report path")
-        if name == "correlation":
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--trotter", dest="trotter", action="store_true",
-                               default=None, help="include the digital curve (default)")
-            group.add_argument("--exact-only", dest="trotter", action="store_false",
-                               help="skip the digital curve")
-        if name == "phase_sweep":
-            p.add_argument("--sweep-start", type=float, help="first g=V value, default 0")
-            p.add_argument("--sweep-stop", type=float, help="last g=V value, default 1")
-            p.add_argument("--sweep-points", type=int, help="grid size, default 101")
-        if name == "compile_report":
-            p.add_argument("--e1", type=float, help="single-qubit gate error, default 1e-4")
-            p.add_argument("--e2", type=float, help="two-qubit gate error, default 1e-3")
+        for option in _OPTIONS + _SWEEP_OPTIONS:
+            if option.command not in (None, name):
+                continue
+            if option.key == "trotter":
+                group = p.add_mutually_exclusive_group()
+                group.add_argument("--trotter", action="store_true", default=None, help=option.help)
+                group.add_argument("--exact-only", dest="trotter", action="store_false",
+                                   help="skip the digital curve")
+            else:
+                p.add_argument("--" + option.key.replace("_", "-"),
+                               type=_FLAG_TYPE[option.check], help=option.help)
     return parser
 
 
@@ -119,84 +140,36 @@ def _load_config(path: Path | None) -> dict:
         if not isinstance(sweep, dict):
             raise ValueError(f"'sweep' in config file {path} must hold a mapping")
         _reject_unknown(sweep, _SWEEP_KEYS, f"'sweep' of config file {path}")
-        both = [f"{k} and sweep_{k}" for k in ("start", "stop", "points")
-                if k in sweep and f"sweep_{k}" in sweep]
+        both = [f"{short} and {key}" for key, short in _SWEEP_ALIAS.items()
+                if short in sweep and key in sweep]
         if both:
             raise ValueError(f"'sweep' of config file {path} gives {'; '.join(both)}; "
                              "use one spelling")
     return data
 
 
-def _value(args, file_cfg: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_cfg and file_cfg[key] is not None:
-        return file_cfg[key]
-    return default
-
-
-def _integer(value, key: str) -> int:
-    """An integral number as an int; anything else is refused, naming the key."""
-    if type(value) is not int and not (type(value) is float and value.is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, key: str) -> float:
-    """A real number as a float; a bool, a string or a collection is refused,
-    naming the key."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{key} is out of range, got {value!r}") from None
-
-
-def _text(value, key: str) -> str:
-    """A string; anything else is refused, naming the key."""
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a string, got {value!r}")
-    return value
+def _file_values(file_cfg: dict):
+    """Each option with its config-file value (None when absent) and the name
+    the file gives it, such as ``sweep.points``."""
+    for option in _OPTIONS:
+        yield option, file_cfg.get(option.key), option.key
+    sweep = file_cfg.get("sweep") or {}
+    for option in _SWEEP_OPTIONS:
+        key = option.key if option.key in sweep else _SWEEP_ALIAS[option.key]
+        yield option, sweep.get(key), f"sweep.{key}"
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    file_cfg = _load_config(getattr(args, "config", None))
-    sweep_cfg = file_cfg.get("sweep") or {}
-    trotter = _value(args, file_cfg, "trotter", True)
-    if not isinstance(trotter, bool):
-        raise ValueError(f"trotter must be true or false, got {trotter!r}")
-
-    def value(key: str, default, check=_real):
-        found = _value(args, file_cfg, key, default)
-        return None if found is None else check(found, key)
-
-    def sweep(key: str, default, check=_real):
-        # flag --sweep-<key>, or the file's sweep.sweep_<key> or sweep.<key>
-        name = f"sweep_{key}"
-        return check(_value(args, sweep_cfg, name, sweep_cfg.get(key, default)),
-                     f"sweep.{name}" if name in sweep_cfg else f"sweep.{key}")
-
-    params = ModelParams(
-        epsilon=value("epsilon", 1.0), g=value("g", 0.0), V=value("v", 0.0),
-        j=value("j", 1, _integer),
-    )
-    return ExperimentConfig(
-        experiment=args.experiment,
-        params=params,
-        n_T=value("nt", 5, _integer),
-        t_final=value("tf", None),
-        samples=value("samples", 401, _integer),
-        initial_state=value("init", "dduu", _text),
-        sweep_start=sweep("start", 0.0),
-        sweep_stop=sweep("stop", 1.0),
-        sweep_points=sweep("points", 101, _integer),
-        e1=value("e1", 1e-4),
-        e2=value("e2", 1e-3),
-        trotter=trotter,
-        out=value("out", None, _text),
-    )
+    """Each option's flag, else its config-file value, else (given neither
+    way) the default of its dataclass field."""
+    given = {}
+    for option, in_file, name in _file_values(_load_config(getattr(args, "config", None))):
+        value = getattr(args, option.key, None)
+        value = in_file if value is None else value
+        if value is not None:
+            given[option.field] = option.check(value, name)
+    model = {f.name: given.pop(f.name) for f in fields(ModelParams) if f.name in given}
+    return ExperimentConfig(args.experiment, ModelParams(**model), **given)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,9 +1,11 @@
 """Experiment runner: fidelity, survival, correlation and phase-probe sweeps.
 
-Every experiment evolves the half-filled product state |down down up up>
-(configurable) and writes one CSV per run plus a JSON manifest recording all
-parameters, the package version and the wall time.  Time axes are reported
-both as t (units 1/epsilon) and as the dimensionless product (g+V) t.
+Every experiment evolves a half-filled product state, by default the one
+with the upper level empty ("d" * 2j + "u" * 2j, |down down up up> at j = 1),
+and writes one CSV per run plus a JSON manifest recording all parameters
+(the initial state included), the package version and the wall time.  Time
+axes are reported both as t (units 1/epsilon) and as the dimensionless
+product (g+V) t.
 
 The phase probe works on the connected correlator
 
@@ -25,6 +27,7 @@ Sweep points are independent; only the CSV writes are serialized.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
@@ -34,6 +37,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import __version__
+from .checks import boolean, integer, real, text
 from .ion_compiler import compile_schedule, count_gates, error_budget, sequence_to_text
 from .model import ModelParams, build_hamiltonian, critical_line
 from .paulis import pauli_action
@@ -59,26 +63,45 @@ maximum, below the rounding of the observable itself."""
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings, checked on construction.  An ``initial_state`` of
+    None becomes the half-filled state with the upper level empty,
+    ``"d" * 2j + "u" * 2j`` (``dduu`` at j = 1)."""
+
     experiment: str
     params: ModelParams = field(default_factory=ModelParams)
     n_T: int = 5
     t_final: float | None = None
     samples: int = 401
-    initial_state: str = "dduu"
+    initial_state: str | None = None
     sweep_start: float = 0.0
     sweep_stop: float = 1.0
     sweep_points: int = 101
     e1: float = 1e-4
     e2: float = 1e-3
     trotter: bool = True
-    out: str | None = None
+    out: str | os.PathLike | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {tuple(EXPERIMENTS)}"
             )
-        if not (isinstance(self.n_T, int) and self.n_T >= 1):
+        if not isinstance(self.params, ModelParams):
+            raise ValueError(f"params must be a ModelParams, got {self.params!r}")
+        for name in ("n_T", "samples", "sweep_points"):
+            integer(getattr(self, name), name)
+        for name in ("sweep_start", "sweep_stop", "e1", "e2"):
+            real(getattr(self, name), name)
+        if self.t_final is not None:
+            real(self.t_final, "t_final")
+        if self.initial_state is None:
+            half = 2 * self.params.j
+            object.__setattr__(self, "initial_state", "d" * half + "u" * half)
+        text(self.initial_state, "initial_state")
+        boolean(self.trotter, "trotter")
+        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
+            raise ValueError(f"out must be a string or a path, got {self.out!r}")
+        if self.n_T < 1:
             raise ValueError(f"n_T must be a positive integer, got {self.n_T!r}")
         for name, rate in (("e1", self.e1), ("e2", self.e2)):
             if not 0.0 <= rate <= 1.0:

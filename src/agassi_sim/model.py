@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 import math
 
+from .checks import integer, real
 from .paulis import PauliString, PauliSum, FermionWord, jw_map
 
 SYMMETRIC_PHASE = "SP"
@@ -63,12 +64,12 @@ class ModelParams:
     j: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.j, int) and self.j >= 1):
+        if integer(self.j, "j") < 1:
             raise ValueError(f"j must be a positive integer, got {self.j!r}")
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+        if not (real(self.epsilon, "epsilon") > 0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         for name in ("g", "V"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(real(getattr(self, name), name)):
                 raise ValueError(f"{name} must be finite")
 
     @property

@@ -198,6 +198,42 @@ class TestRun:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="survival", samples=MAX_AMPLITUDES // 16 + 1)
 
+    @pytest.mark.parametrize("experiment,given,name", [
+        ("survival", {"samples": 2.5}, "samples"),
+        ("phase_sweep", {"sweep_points": 2.5}, "sweep_points"),
+        ("survival", {"initial_state": 5}, "initial_state"),
+        ("survival", {"out": 5}, "out"),
+        ("fidelity_vs_nT", {"n_T": True}, "n_T"),
+        ("survival", {"params": {"j": True}}, "j"),
+        ("survival", {"params": {"g": True}}, "g"),
+        ("survival", {"params": {"epsilon": True}}, "epsilon"),
+        ("survival", {"params": {"V": "0.5"}}, "V"),
+        ("survival", {"t_final": True}, "t_final"),
+        ("correlation", {"trotter": "no"}, "trotter"),
+        ("compile_report", {"e1": True}, "e1"),
+        ("compile_report", {"e2": "1e-3"}, "e2"),
+        ("phase_sweep", {"sweep_start": "0"}, "sweep_start"),
+        ("phase_sweep", {"sweep_stop": True}, "sweep_stop"),
+    ], ids=["samples-float", "sweep-points-float", "init-number", "out-number", "nt-bool",
+            "j-bool", "g-bool", "epsilon-bool", "v-string", "tf-bool", "trotter-string",
+            "e1-bool", "e2-string", "sweep-start-string", "sweep-stop-bool"])
+    def test_value_of_wrong_type_refused_naming_its_field(self, experiment, given, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be (an integer|a number|a string"
+                                             rf"|true or false)"):
+            run_given = {k: v for k, v in given.items() if k != "params"}
+            ExperimentConfig(experiment=experiment, params=ModelParams(**given.get("params", {})),
+                             **run_given)
+
+    def test_params_must_be_model_params(self):
+        with pytest.raises(ValueError, match="params must be a ModelParams"):
+            ExperimentConfig(experiment="survival", params={"j": 1})
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_default_initial_state_is_half_filled_with_upper_level_empty(self, j):
+        cfg = ExperimentConfig(experiment="survival", params=ModelParams(j=j))
+        assert cfg.initial_state == "d" * 2 * j + "u" * 2 * j
+        assert ExperimentConfig(experiment="survival", initial_state="udud").initial_state == "udud"
+
     def test_initial_state_length_checked(self):
         cfg = cfg_for("survival", 0.5, 0.5, initial_state="dd", samples=4)
         with pytest.raises(ValueError):
@@ -416,6 +452,13 @@ class TestCli:
         assert cli_main(["survival", "--init", "dd", "--out", str(out)]) == 2
         assert "qubits" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_default_initial_state_follows_j(self, tmp_path):
+        out = tmp_path / "surv.csv"
+        assert cli_main(["survival", "--j", "2", "--samples", "5", "--out", str(out)]) == 0
+        manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+        assert manifest["parameters"]["initial_state"] == "dddduuuu"
+        assert float(out.read_text().splitlines()[1].split(",")[2]) == pytest.approx(1.0)
 
     def test_cli_import_leaves_scipy_unloaded(self):
         code = "import agassi_sim.cli, sys; assert 'scipy' not in sys.modules"

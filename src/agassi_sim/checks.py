@@ -1,14 +1,19 @@
-"""Type checks for configuration values, shared by the config dataclasses and
-the command line.  Each returns the value it accepts and raises a
-``ValueError`` naming ``key`` for anything else."""
+"""Input checks, shared by every constructor and entry point and by the command
+line.  Each returns the value it accepts and raises a ``ValueError`` naming
+``key`` (or the two qubit counts) for anything else."""
 
 from __future__ import annotations
 
+import numpy as np
 
-def integer(value, key: str) -> int:
-    """An int; a bool, a float or anything else is refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+
+def integer(value, key: str, minimum: int | None = None) -> int:
+    """An int, at least ``minimum`` when one is given; a bool, a float or
+    anything else is refused."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{key} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -20,6 +25,33 @@ def real(value, key: str) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{key} is out of range, got {value!r}") from None
+
+
+def finite(values, key: str, sign: str = "") -> np.ndarray:
+    """values as a float array, every entry finite and, for ``sign``
+    "positive" or "nonnegative", of that sign."""
+    array = np.asarray(values, dtype=float)
+    ok = np.isfinite(array)
+    if sign:
+        ok &= array > 0 if sign == "positive" else array >= 0
+    if not (ok.all() if array.ndim else ok):  # .all() of a numpy bool costs microseconds
+        raise ValueError(f"{key} must be {sign + ' and ' if sign else ''}finite, got {values!r}")
+    return array
+
+
+def probability(value, key: str) -> float:
+    """A real number in [0, 1] as a float; a NaN is refused."""
+    rate = real(value, key)
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"{key} must lie in [0, 1], got {value!r}")
+    return rate
+
+
+def same_qubits(a: int, b: int) -> int:
+    """The common qubit count of two operands; unequal counts are refused."""
+    if a != b:
+        raise ValueError(f"qubit counts differ: {a} vs {b}")
+    return a
 
 
 def text(value, key: str) -> str:

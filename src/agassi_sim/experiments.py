@@ -37,7 +37,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import __version__
-from .checks import boolean, integer, real, text
+from .checks import boolean, finite, integer, probability, real, text
 from .ion_compiler import compile_schedule, count_gates, error_budget, sequence_to_text
 from .model import ModelParams, build_hamiltonian, critical_line
 from .paulis import pauli_action
@@ -65,7 +65,11 @@ maximum, below the rounding of the observable itself."""
 class ExperimentConfig:
     """One run's settings, checked on construction.  An ``initial_state`` of
     None becomes the half-filled state with the upper level empty,
-    ``"d" * 2j + "u" * 2j`` (``dduu`` at j = 1)."""
+    ``"d" * 2j + "u" * 2j`` (``dduu`` at j = 1).
+
+    The state is resolved on construction, so ``dataclasses.replace(cfg,
+    params=...)`` keeps the old one: a copy that changes ``j`` must also pass
+    ``initial_state=None`` (or a pattern of the new size)."""
 
     experiment: str
     params: ModelParams = field(default_factory=ModelParams)
@@ -82,18 +86,20 @@ class ExperimentConfig:
     out: str | os.PathLike | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if text(self.experiment, "experiment") not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {tuple(EXPERIMENTS)}"
             )
         if not isinstance(self.params, ModelParams):
             raise ValueError(f"params must be a ModelParams, got {self.params!r}")
-        for name in ("n_T", "samples", "sweep_points"):
-            integer(getattr(self, name), name)
-        for name in ("sweep_start", "sweep_stop", "e1", "e2"):
-            real(getattr(self, name), name)
+        for name, least in (("n_T", 1), ("samples", 2), ("sweep_points", 2)):
+            integer(getattr(self, name), name, least)
+        for name in ("sweep_start", "sweep_stop"):
+            finite(real(getattr(self, name), name), name)
+        for name in ("e1", "e2"):
+            probability(getattr(self, name), name)
         if self.t_final is not None:
-            real(self.t_final, "t_final")
+            finite(real(self.t_final, "t_final"), "t_final", "positive")
         if self.initial_state is None:
             half = 2 * self.params.j
             object.__setattr__(self, "initial_state", "d" * half + "u" * half)
@@ -101,28 +107,17 @@ class ExperimentConfig:
         boolean(self.trotter, "trotter")
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
             raise ValueError(f"out must be a string or a path, got {self.out!r}")
-        if self.n_T < 1:
-            raise ValueError(f"n_T must be a positive integer, got {self.n_T!r}")
-        for name, rate in (("e1", self.e1), ("e2", self.e2)):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {rate!r}")
-        if self.samples < 2:
-            raise ValueError("samples must be at least 2")
         size = self.samples * 2**self.params.n_qubits
         if size > MAX_AMPLITUDES:
             raise ValueError(
                 f"samples * 2^n = {self.samples} * 2^{self.params.n_qubits} = {size} "
                 f"amplitudes exceeds the limit of {MAX_AMPLITUDES}"
             )
-        if self.t_final is not None and not 0 < self.t_final < np.inf:
-            raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
         if self.experiment == "phase_sweep" and self.params.j != 1:
             raise ValueError(f"the phase sweep runs the j = 1 model, got j = {self.params.j}")
-        if self.sweep_points < 2:
-            raise ValueError("sweep_points must be at least 2")
-        if not -np.inf < self.sweep_start < self.sweep_stop < np.inf:
+        if not self.sweep_start < self.sweep_stop:
             raise ValueError(
-                "the sweep needs finite sweep_start < sweep_stop, "
+                "the sweep needs sweep_start < sweep_stop, "
                 f"got {self.sweep_start!r} and {self.sweep_stop!r}"
             )
 
@@ -228,10 +223,10 @@ def survival_minimum(cfg: ExperimentConfig) -> float:
     return -_two_period_max(cfg, lambda states, initial: -_survival_values(states, initial))
 
 
-def classify_amplitude(amp: float, tol: float = SATURATION_TOL) -> str:
+def classify_amplitude(amp: float) -> str:
     """Phase label inferred from an oscillation amplitude: saturated (within
-    tol of 1) means broken-symmetry, anything lower means symmetric."""
-    return "BSP" if amp >= 1.0 - tol else "SP"
+    SATURATION_TOL of 1) means broken-symmetry, anything lower means symmetric."""
+    return "BSP" if amp >= 1.0 - SATURATION_TOL else "SP"
 
 
 def _exact_grid(cfg: ExperimentConfig) -> tuple[StateVector, np.ndarray, np.ndarray]:
@@ -249,14 +244,13 @@ def fidelity_time_series(cfg: ExperimentConfig) -> TimeSeries:
     return TimeSeries(times, np.abs(overlaps) ** 2)
 
 
-def fidelity_vs_steps(cfg: ExperimentConfig, max_steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-vs-digital fidelity at fixed final time for n_T = 1..max_steps."""
+def fidelity_vs_steps(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-vs-digital fidelity at fixed final time for n_T = 1..cfg.n_T."""
     params = cfg.params
     initial = _initial(cfg)
     t_final = default_t_final(cfg)
-    max_steps = max_steps if max_steps is not None else cfg.n_T
     exact = ExactPropagator(build_hamiltonian(params)).evolve(initial, t_final)
-    steps = np.arange(1, max_steps + 1)
+    steps = np.arange(1, cfg.n_T + 1)
     fids = np.array([
         fidelity(exact, trotter_evolve(initial, params, t_final, int(m)))
         for m in steps

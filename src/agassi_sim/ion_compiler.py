@@ -34,12 +34,12 @@ that one period.  Compilation is pure and sequences are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Union
 
 import numpy as np
 
+from .checks import finite, integer, probability
 from .paulis import PauliString
 from .statevector import StateVector, apply_steps, rotation_steps
 from .trotter import TrotterSchedule
@@ -51,11 +51,6 @@ class CompilationError(ValueError):
     """Raised for schedules outside the supported gate templates."""
 
 
-def _require_finite(angle: float) -> None:
-    if not np.isfinite(angle):
-        raise ValueError(f"gate angles must be finite, got {angle!r}")
-
-
 @dataclass(frozen=True)
 class Rotation:
     axis: str
@@ -65,9 +60,8 @@ class Rotation:
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"rotation axis must be x, y or z, got {self.axis!r}")
-        _require_finite(self.angle)
-        if self.qubit < 1:
-            raise ValueError(f"qubit indices are 1-based, got {self.qubit}")
+        finite(self.angle, "angle")
+        integer(self.qubit, "qubit", 1)
 
 
 @dataclass(frozen=True)
@@ -77,12 +71,14 @@ class MS:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        _require_finite(self.angle)
+        finite(self.angle, "angle")
         if self.axis != "x":
             raise ValueError("only x-basis MS gates are emitted by this compiler")
         if len(self.qubits) < 2:
             raise ValueError("an MS gate acts on at least two ions")
-        if len(set(self.qubits)) != len(self.qubits) or min(self.qubits) < 1:
+        for q in self.qubits:
+            integer(q, "MS qubit", 1)
+        if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"bad MS qubit set {self.qubits}")
 
 
@@ -91,10 +87,16 @@ class GlobalPhase:
     angle: float
 
     def __post_init__(self):
-        _require_finite(self.angle)
+        finite(self.angle, "angle")
 
 
 NativeGate = Union[Rotation, MS, GlobalPhase]
+
+
+def _highest_ion(gates) -> int:
+    """The largest ion index the gates act on, 0 for none."""
+    return max((max(g.qubits) if isinstance(g, MS) else g.qubit
+                for g in gates if not isinstance(g, GlobalPhase)), default=0)
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,9 @@ class GateSequence:
     n_steps: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
-        top = max((max(g.qubits) if isinstance(g, MS) else g.qubit
-                   for g in self.step if not isinstance(g, GlobalPhase)), default=0)
+        integer(self.n_qubits, "n_qubits", 0)
+        integer(self.n_steps, "n_steps", 1)
+        top = _highest_ion(self.step)
         if top > self.n_qubits:
             raise ValueError(f"gate qubit {top} exceeds n_qubits={self.n_qubits}")
 
@@ -273,9 +274,8 @@ def count_gates(sequence: GateSequence) -> GateCounts:
 
 def error_budget(counts: GateCounts, e1: float, e2: float, n_T: int) -> ErrorBudget:
     """Linear gate-error accounting from per-step counts and error rates."""
-    for name, rate in (("e1", e1), ("e2", e2)):
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {rate}")
+    e1, e2 = probability(e1, "e1"), probability(e2, "e2")
+    integer(n_T, "n_T", 1)
     per_step = counts.per_trotter_step
     total = n_T * (per_step.single_qubit * e1 + per_step.two_qubit_equivalent * e2)
     return ErrorBudget(e1=e1, e2=e2, total=total)
@@ -301,9 +301,8 @@ def _gate_layer(gate: NativeGate, n: int) -> tuple:
     raise TypeError(f"unknown gate {gate!r}")
 
 
-@lru_cache(maxsize=8)
 def _sequence_steps(sequence: GateSequence) -> tuple:
-    """Kernel factors of one period of a program, cached per sequence."""
+    """Kernel factors of one period of a program."""
     n = sequence.n_qubits
     return rotation_steps(tuple(e for g in sequence.step for e in _gate_layer(g, n)), n, np.ones(1))
 
@@ -332,7 +331,7 @@ def sequence_to_text(sequence: GateSequence) -> str:
 
 def sequence_from_text(text: str) -> GateSequence:
     """Parse the serialization produced by :func:`sequence_to_text`."""
-    n_qubits = 0
+    n_qubits = None
     n_steps = 1
     gates: list[NativeGate] = []
     for raw in text.splitlines():
@@ -356,12 +355,8 @@ def sequence_from_text(text: str) -> GateSequence:
             gates.append(GlobalPhase(float(parts[1])))
         else:
             raise ValueError(f"unparseable gate line {raw!r}")
-    if n_qubits == 0:
-        for gate in gates:
-            if isinstance(gate, Rotation):
-                n_qubits = max(n_qubits, gate.qubit)
-            elif isinstance(gate, MS):
-                n_qubits = max(n_qubits, max(gate.qubits))
+    if n_qubits is None:
+        n_qubits = _highest_ion(gates)
     if n_steps < 1 or gates[: len(gates) // n_steps] * n_steps != gates:
         raise ValueError(f"the {len(gates)} gate lines are not steps={n_steps} repeats of one step")
     return GateSequence(n_qubits, tuple(gates[: len(gates) // n_steps]), n_steps)

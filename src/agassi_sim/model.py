@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-import math
 
-from .checks import integer, real
+from .checks import finite, integer, real
 from .paulis import PauliString, PauliSum, FermionWord, jw_map
 
 SYMMETRIC_PHASE = "SP"
@@ -64,13 +63,10 @@ class ModelParams:
     j: int = 1
 
     def __post_init__(self):
-        if integer(self.j, "j") < 1:
-            raise ValueError(f"j must be a positive integer, got {self.j!r}")
-        if not (real(self.epsilon, "epsilon") > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        integer(self.j, "j", 1)
+        finite(real(self.epsilon, "epsilon"), "epsilon", "positive")
         for name in ("g", "V"):
-            if not math.isfinite(real(getattr(self, name), name)):
-                raise ValueError(f"{name} must be finite")
+            finite(real(getattr(self, name), name), name)
 
     @property
     def n_qubits(self) -> int:
@@ -104,9 +100,7 @@ def build_collective_ops(j: int) -> dict[str, PauliSum]:
     and the total particle number Nop, each as a canonical PauliSum on 4j
     qubits.
     """
-    if not (isinstance(j, int) and j >= 1):
-        raise ValueError(f"j must be a positive integer, got {j!r}")
-    n = 4 * j
+    n = 4 * integer(j, "j", 1)
     ms = [m for k in range(1, j + 1) for m in (k, -k)]
 
     def word(*factors: tuple[int, bool]) -> PauliSum:

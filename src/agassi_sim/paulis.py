@@ -22,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .checks import same_qubits
+
 PRUNE_TOL = 1e-14
 """Coefficients at or below this magnitude are dropped during canonicalization."""
 
@@ -82,8 +84,7 @@ class PauliString:
     def __mul__(self, other: "PauliString") -> "PauliString":
         if not isinstance(other, PauliString):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
+        same_qubits(self.n, other.n)
         phase = 1.0 + 0.0j
         out = []
         for a, b in zip(self.letters, other.letters):
@@ -104,8 +105,7 @@ class PauliString:
 
     def commutes_with(self, other: "PauliString") -> bool:
         """True when the strings commute (even number of clashing sites)."""
-        if self.n != other.n:
-            raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
+        same_qubits(self.n, other.n)
         clashes = sum(
             1
             for a, b in zip(self.letters, other.letters)
@@ -143,8 +143,7 @@ class PauliSum:
             n = terms[0].n
         merged: dict[str, complex] = {}
         for t in terms:
-            if t.n != n:
-                raise ValueError(f"qubit counts differ: {t.n} vs {n}")
+            same_qubits(t.n, n)
             merged[t.letters] = merged.get(t.letters, 0.0) + t.coefficient
         kept = tuple(
             PauliString(c, s)
@@ -180,9 +179,7 @@ class PauliSum:
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if not isinstance(other, PauliSum):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
-        return PauliSum.from_terms(self.terms + other.terms, self.n)
+        return PauliSum.from_terms(self.terms + other.terms, same_qubits(self.n, other.n))
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-other)
@@ -192,8 +189,7 @@ class PauliSum:
 
     def __mul__(self, other):
         if isinstance(other, PauliSum):
-            if self.n != other.n:
-                raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
+            same_qubits(self.n, other.n)
             prods = [a * b for a in self.terms for b in other.terms]
             return PauliSum.from_terms(prods, self.n)
         return self.scaled(other)

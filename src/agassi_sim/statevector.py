@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .checks import finite, same_qubits
 from .paulis import PauliString, PauliSum, pauli_action, to_matrix, x_blocks
 
 NORM_TOL = 1e-8
@@ -108,19 +109,9 @@ def basis_state(pattern) -> StateVector:
     return StateVector(amps, n)
 
 
-def _finite(values, name: str) -> np.ndarray:
-    """values as a float array; a NaN or infinite entry is refused before it
-    reaches a cos, sin or exp."""
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite, got {values}")
-    return values
-
-
 def apply_pauli(state: StateVector, p: PauliString) -> np.ndarray:
     """Raw amplitudes of ``p|state>`` (coefficient included, no norm check)."""
-    if p.n != state.n:
-        raise ValueError(f"qubit counts differ: {p.n} vs {state.n}")
+    same_qubits(p.n, state.n)
     x_mask, phase = pauli_action(p.letters)
     return (p.coefficient * phase * state.amplitudes)[np.arange(2**state.n) ^ x_mask]
 
@@ -192,7 +183,8 @@ def apply_pauli_exponential(state: StateVector, p: PauliString, theta: float) ->
     """exp(-i theta P) |state> for a Pauli string with coefficient +1 or -1
     (a sign flip of theta): a one-entry rotation layer run for a step theta.
     """
-    _finite(theta, "theta")
+    finite(theta, "theta")
+    same_qubits(p.n, state.n)
     c = p.coefficient
     if abs(c.imag) > 1e-12 or abs(abs(c.real) - 1.0) > 1e-12:
         raise ValueError(f"coefficient must be +1 or -1, got {c}")
@@ -219,15 +211,15 @@ class ExactPropagator:
 
     def states_at(self, state: StateVector, times: np.ndarray) -> np.ndarray:
         """Amplitudes at many times, shape (len(times), 2^n)."""
+        same_qubits(self.n, state.n)
         coeffs = self.eigenvectors.conj().T @ state.amplitudes
-        phases = np.exp(-1j * np.outer(_finite(times, "times"), self.eigenvalues))
+        phases = np.exp(-1j * np.outer(finite(times, "times"), self.eigenvalues))
         return (phases * coeffs) @ self.eigenvectors.T
 
 
 def exact_evolve(state: StateVector, hamiltonian: PauliSum, t: float) -> StateVector:
     """exp(-iHt)|state> through the dense spectral oracle."""
-    if hamiltonian.n != state.n:
-        raise ValueError(f"qubit counts differ: {hamiltonian.n} vs {state.n}")
+    same_qubits(hamiltonian.n, state.n)
     return ExactPropagator(hamiltonian).evolve(state, t)
 
 
@@ -237,14 +229,12 @@ def expectation(state: StateVector, observable: PauliSum) -> float:
     the floating-point sum is discarded."""
     if not observable.hermitian(tol=UNITARITY_TOL):
         raise ValueError("observable must be Hermitian")
-    if observable.n != state.n:
-        raise ValueError(f"qubit counts differ: {observable.n} vs {state.n}")
+    same_qubits(observable.n, state.n)
     psi, idx = state.amplitudes, np.arange(2**state.n)
     return float(np.real(sum(np.vdot(psi[idx ^ x], d * psi) for x, d in x_blocks(observable))))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2; symmetric and insensitive to global phases."""
-    if a.n != b.n:
-        raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
+    same_qubits(a.n, b.n)
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import finite, integer, real, same_qubits
 from .model import INTERACTION_STRINGS, ModelParams, build_hamiltonian, build_split_j1
 from .paulis import PauliString, PauliSum
-from .statevector import StateVector, _finite, apply_steps, exact_evolve, fidelity, rotation_steps
+from .statevector import StateVector, apply_steps, exact_evolve, fidelity, rotation_steps
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,8 @@ class TrotterSchedule:
     t: float
 
     def __post_init__(self):
-        if not (isinstance(self.n_T, int) and self.n_T >= 1):
-            raise ValueError(f"n_T must be a positive integer, got {self.n_T!r}")
-        if not 0 <= self.t < np.inf:
-            raise ValueError(f"t must be nonnegative and finite, got {self.t!r}")
+        integer(self.n_T, "n_T", 1)
+        finite(real(self.t, "t"), "t", "nonnegative")
         for string, _ in self.interaction_layer:
             if string.coefficient != 1:
                 raise ValueError(
@@ -85,6 +84,7 @@ def _batched_schedule_steps(state: StateVector, schedule: TrotterSchedule,
     """The state after schedule.n_T steps of each size in dts, one row per
     size, shape (len(dts), 2^n).  A step is the rotation layer of the
     interaction strings followed by the diagonal terms."""
+    same_qubits(schedule.diagonal_block.n, state.n)
     diagonal = tuple((t.unit(), t.coefficient.real) for t in schedule.diagonal_block.terms)
     steps = rotation_steps(schedule.interaction_layer + diagonal, state.n, dts)
     return apply_steps(state.amplitudes[None, :], steps, schedule.n_T)
@@ -106,7 +106,7 @@ def trotter_states_at(state: StateVector, params: ModelParams,
     size; shape (len(times), 2^n).  The per-time results are identical to
     ``trotter_evolve`` but the grid is advanced as one batch."""
     schedule = build_schedule(params, 1.0, n_T)
-    return _batched_schedule_steps(state, schedule, _finite(times, "times") / n_T)
+    return _batched_schedule_steps(state, schedule, finite(times, "times") / n_T)
 
 
 def digital_error(state: StateVector, params: ModelParams, t: float, n_T: int) -> float:

@@ -1,0 +1,66 @@
+"""Input checks: the refusals made through agassi_sim.checks, and a guard that
+keeps every finiteness and qubit-count test in that one module."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import agassi_sim
+from agassi_sim.experiments import ExperimentConfig
+from agassi_sim.ion_compiler import MS, GateSequence, Rotation, count_gates, error_budget
+from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian
+from agassi_sim.paulis import pauli
+from agassi_sim.statevector import ExactPropagator, apply_pauli_exponential, basis_state
+from agassi_sim.trotter import build_schedule, evolve_schedule, trotter_evolve, trotter_states_at
+
+PARAMS = ModelParams(epsilon=1.0, g=0.5, V=0.5)
+EIGHT_QUBITS = basis_state("dddduuuu")
+COUNTS = count_gates(GateSequence(4, (Rotation("z", 0.1, 1),)))
+
+
+def _exact():
+    return ExactPropagator(build_hamiltonian(PARAMS))
+
+
+REFUSALS = {
+    "rotation-float-qubit": (lambda: Rotation("x", np.pi, 2.5), "^qubit must be an integer"),
+    "ms-float-ion": (lambda: MS(np.pi / 2, "x", (1.5, 2)), "^MS qubit must be an integer"),
+    "schedule-bool-steps": (lambda: build_schedule(PARAMS, 1.0, True), "^n_T must be an integer"),
+    "sequence-bool-steps": (lambda: GateSequence(4, (), n_steps=True),
+                            "^n_steps must be an integer"),
+    "sequence-float-qubits": (lambda: GateSequence(4.0, ()), "^n_qubits must be an integer"),
+    "sequence-negative-qubits": (lambda: GateSequence(-1, ()), "^n_qubits must be an integer"),
+    "collective-bool-j": (lambda: build_collective_ops(True), "^j must be an integer"),
+    "budget-bool-e1": (lambda: error_budget(COUNTS, True, 1e-3, 5), "^e1 must be a number"),
+    "budget-float-steps": (lambda: error_budget(COUNTS, 1e-4, 1e-3, 2.5),
+                           "^n_T must be an integer"),
+    "config-list-experiment": (lambda: ExperimentConfig(["survival"]),
+                               "^experiment must be a string"),
+    "states-at-8-on-4": (lambda: _exact().states_at(EIGHT_QUBITS, [0.0, 1.0]),
+                         "^qubit counts differ: 4 vs 8"),
+    "evolve-8-on-4": (lambda: _exact().evolve(EIGHT_QUBITS, 1.0),
+                      "^qubit counts differ: 4 vs 8"),
+    "trotter-evolve-8-on-4": (lambda: trotter_evolve(EIGHT_QUBITS, PARAMS, 1.0, 2),
+                              "^qubit counts differ: 4 vs 8"),
+    "trotter-states-8-on-4": (lambda: trotter_states_at(EIGHT_QUBITS, PARAMS, [0.5, 1.0], 2),
+                              "^qubit counts differ: 4 vs 8"),
+    "schedule-8-on-4": (lambda: evolve_schedule(EIGHT_QUBITS, build_schedule(PARAMS, 1.0, 2)),
+                        "^qubit counts differ: 4 vs 8"),
+    "exponential-8-on-4": (lambda: apply_pauli_exponential(EIGHT_QUBITS, pauli("XXXX"), 0.1),
+                           "^qubit counts differ: 4 vs 8"),
+}
+
+
+@pytest.mark.parametrize("make,message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_with_a_message_naming_the_field(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_finiteness_and_qubit_count_checks_live_in_checks_only():
+    package = Path(agassi_sim.__file__).parent
+    copies = [f"{path.name}: {needle}" for path in sorted(package.glob("*.py"))
+              if path.name != "checks.py"
+              for needle in ("isfinite(", "qubit counts differ") if needle in path.read_text()]
+    assert copies == []

@@ -351,3 +351,7 @@ class TestSerialization:
     def test_rejects_gates_beyond_the_program_ions(self, line):
         with pytest.raises(ValueError, match="exceeds n_qubits=2"):
             sequence_from_text(f"# qubits=2 steps=1\n{line}\n")
+
+    def test_explicit_zero_qubit_header_is_enforced(self):
+        with pytest.raises(ValueError, match="exceeds n_qubits=0"):
+            sequence_from_text("# qubits=0 steps=1\nR x 0.1 7\n")

@@ -4,6 +4,8 @@ line.  Each returns the value it accepts and raises a ``ValueError`` naming
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -27,14 +29,18 @@ def real(value, key: str) -> float:
         raise ValueError(f"{key} is out of range, got {value!r}") from None
 
 
-def finite(values, key: str, sign: str = "") -> np.ndarray:
-    """values as a float array, every entry finite and, for ``sign``
-    "positive" or "nonnegative", of that sign."""
-    array = np.asarray(values, dtype=float)
-    ok = np.isfinite(array)
+def finite(values, key: str, sign: str = "") -> np.ndarray | float:
+    """values as a float array (a plain int or float as a float), every entry
+    finite and, for ``sign`` "positive" or "nonnegative", of that sign."""
+    if type(values) in (int, float):  # a plain number skips numpy's per-call overhead
+        array = float(values)
+        ok = math.isfinite(array)
+    else:
+        array = np.asarray(values, dtype=float)
+        ok = np.isfinite(array)
     if sign:
         ok &= array > 0 if sign == "positive" else array >= 0
-    if not (ok.all() if array.ndim else ok):  # .all() of a numpy bool costs microseconds
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):  # .all() of a scalar costs microseconds
         raise ValueError(f"{key} must be {sign + ' and ' if sign else ''}finite, got {values!r}")
     return array
 

@@ -21,7 +21,11 @@ until that bracket is at most ZOOM_WIDTH wide.  The extremum is then pinned
 to about 1e-17 in value; plain grid maxima are only good to about 1e-4, not
 enough to resolve the saturation plateau.
 
-Sweep points are independent; only the CSV writes are serialized.
+The search runs every point of a sweep at once, in chunks of at most
+SEARCH_AMPLITUDES amplitudes per pass, and each point keeps its own stopping
+rule.  Exact evolution runs inside the initial state's particle-number sector
+(6 of the 16 basis states for |dduu>): H conserves the particle number, so
+the sector Hamiltonians of a chunk are one stack and one batched ``eigh``.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -39,9 +43,11 @@ import numpy as np
 from . import __version__
 from .checks import boolean, finite, integer, probability, real, text
 from .ion_compiler import compile_schedule, count_gates, error_budget, sequence_to_text
-from .model import ModelParams, build_hamiltonian, critical_line
-from .paulis import pauli_action
-from .statevector import ExactPropagator, StateVector, TimeSeries, basis_state, fidelity
+from .model import (ModelParams, _coupling_free_blocks, build_hamiltonian, coupling_weights,
+                    critical_line)
+from .paulis import pauli_action, to_matrix
+from .statevector import (UNITARITY_TOL, ExactPropagator, StateVector, TimeSeries, basis_state,
+                          fidelity, spectral_states)
 from .trotter import build_schedule, trotter_evolve, trotter_states_at
 
 SATURATION_TOL = 1e-6
@@ -49,6 +55,9 @@ SATURATION_TOL = 1e-6
 
 MAX_AMPLITUDES = 2**24
 """Largest time grid accepted, counted as samples * 2^n amplitudes (256 MiB)."""
+
+GRID_SAMPLES = 401
+"""Times of the first search pass, spanning two Rabi periods."""
 
 ZOOM_SAMPLES = 65
 """Times per refinement pass: 64 intervals shrink the bracket 32-fold a pass,
@@ -59,6 +68,15 @@ ZOOM_WIDTH = 1e-9
 """Bracket width at which the search stops.  The last spacing is then at most
 5e-10, so the value at the best sample is within f'' s^2 / 2 ~ 1e-17 of the
 maximum, below the rounding of the observable itself."""
+
+SEARCH_AMPLITUDES = 2**15
+"""Most amplitudes one search pass holds, counted as points * GRID_SAMPLES *
+sector dimension: a sweep is searched in chunks of that many points (13 at
+j = 1), and never fewer than one."""
+
+SECTOR_TOL = 1e-12
+"""Largest Hamiltonian entry allowed between the particle-number sector and
+the states outside it, which the sector search drops."""
 
 
 @dataclass(frozen=True)
@@ -165,41 +183,112 @@ def _z_observables(n: int) -> np.ndarray:
     return signs
 
 
-def _corr_from_states(states: np.ndarray, n: int) -> np.ndarray:
-    """corr_z12 for a batch of states, shape (len(times), 2^n)."""
-    z1, z2, z12 = _z_observables(n)
+def _corr_from_states(states: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """corr_z12 for states of shape (..., d), given the Z1, Z2 and Z1 Z2
+    signs of their d basis states (rows of ``_z_observables``)."""
+    z1, z2, z12 = signs
     prob = np.abs(states) ** 2
     return prob @ z12 - (prob @ z1) * (prob @ z2)
 
 
-def _survival_values(states: np.ndarray, initial: StateVector) -> np.ndarray:
-    return np.abs(states @ initial.amplitudes.conj()) ** 2
+def _survival_values(states: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    return np.abs(states @ initial.conj()) ** 2
 
 
-def _two_period_max(cfg: ExperimentConfig, observable: Callable, *,
-                    trotterized: bool = False) -> float:
-    """Maximum of ``observable(states, initial)`` over two Rabi periods, under
-    exact or (``trotterized``) digital evolution: one batched pass on the grid,
-    then batched passes on the bracket around the previous pass's best sample,
-    until the bracket is at most ZOOM_WIDTH wide or stops shrinking (the float
-    spacing of t reached)."""
-    params = cfg.params
-    initial = _initial(cfg)
-    if trotterized:
-        states_at = partial(trotter_states_at, initial, params, n_T=cfg.n_T)
-    else:
-        states_at = partial(ExactPropagator(build_hamiltonian(params)).states_at, initial)
-    times = np.linspace(0.0, 2 * rabi_period(params), 401)
-    best, width = -np.inf, np.inf
-    while True:
-        values = observable(states_at(times), initial)
-        k = int(np.argmax(values))
-        best = max(best, float(values[k]))
-        lo, hi = times[max(k - 1, 0)], times[min(k + 1, len(times) - 1)]
-        if hi - lo <= ZOOM_WIDTH or hi - lo >= width:
-            return best
-        width = hi - lo
-        times = np.linspace(lo, hi, ZOOM_SAMPLES)
+def _sector(initial: StateVector) -> np.ndarray:
+    """Sorted basis indices with a particle number that the initial state
+    holds.  H conserves the particle number, so evolution stays inside."""
+    counts = np.bitwise_count(np.arange(2**initial.n))
+    return np.flatnonzero(np.isin(counts, counts[initial.amplitudes != 0]))
+
+
+def _sector_spectra(points: list[ModelParams], idx: np.ndarray,
+                    blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of each point's Hamiltonian restricted to
+    the sector idx, by one batched ``eigh``; ``blocks`` holds the dense
+    coupling-free blocks that ``coupling_weights`` weighs."""
+    h = np.tensordot([coupling_weights(p) for p in points], blocks, axes=1)
+    if np.abs(h - h.conj().swapaxes(1, 2)).max() > UNITARITY_TOL:
+        raise ValueError("Hamiltonian must be Hermitian")
+    rows = h[:, idx]
+    leak = np.abs(np.delete(rows, idx, axis=2)).max(initial=0.0)
+    if leak > SECTOR_TOL:
+        raise AssertionError(f"H couples the particle-number sector to other states by {leak:.3g}")
+    return np.linalg.eigh(rows[:, :, idx])
+
+
+def _zoom_max(periods: np.ndarray, values_at: Callable) -> np.ndarray:
+    """Per point, the maximum of ``values_at(rows, times)`` (one row of values
+    per active point, times of shape (rows, samples)) over two periods: one
+    batched pass on the grid, then batched passes on the bracket around each
+    point's best sample, until that bracket is at most ZOOM_WIDTH wide or
+    stops shrinking (the float spacing of t reached).  A point that stops
+    leaves the batch; the others go on."""
+    times = np.linspace(0.0, 2 * periods, GRID_SAMPLES, axis=-1)
+    best = np.full(len(periods), -np.inf)
+    width = np.full(len(periods), np.inf)
+    rows = np.arange(len(periods))
+    while rows.size:
+        values = values_at(rows, times)
+        k = np.argmax(values, axis=1)
+        here = np.arange(len(rows))
+        best[rows] = np.maximum(best[rows], values[here, k])
+        lo = times[here, np.maximum(k - 1, 0)]
+        hi = times[here, np.minimum(k + 1, times.shape[1] - 1)]
+        going = (hi - lo > ZOOM_WIDTH) & (hi - lo < width[rows])
+        width[rows] = hi - lo
+        rows = rows[going]
+        times = np.linspace(lo[going], hi[going], ZOOM_SAMPLES, axis=-1)
+    return best
+
+
+def _two_period_max(points: list[ModelParams], initial: StateVector, observable: Callable,
+                    n_T: int | None = None) -> np.ndarray:
+    """Per point, the maximum of ``observable(states, initial, idx)`` over two
+    Rabi periods, under exact or (n_T given) digital evolution from one initial
+    state; ``states`` are sector amplitudes, on the basis states ``idx``.
+
+    Points go through :func:`_zoom_max` in chunks of at most SEARCH_AMPLITUDES
+    amplitudes per pass.  Digital states are evolved per point in the full
+    space and then read on the sector, outside which they are exactly zero."""
+    idx = _sector(initial)
+    best = np.empty(len(points))
+    if not points:
+        return best
+    if n_T is None:
+        blocks = np.array([to_matrix(b.without_identity())
+                           for b in _coupling_free_blocks(points[0].j)])
+    chunk = max(1, SEARCH_AMPLITUDES // (GRID_SAMPLES * len(idx)))
+    for start in range(0, len(points), chunk):
+        part = points[start:start + chunk]
+        if n_T is None:
+            energies, vectors = _sector_spectra(part, idx, blocks)
+            coeffs = vectors.conj().swapaxes(1, 2) @ initial.amplitudes[idx]
+
+            def states_at(rows, times):
+                return spectral_states(energies[rows], vectors[rows], coeffs[rows], times)
+        else:
+            def states_at(rows, times):
+                return np.array([trotter_states_at(initial, part[r], t, n_T)[:, idx]
+                                 for r, t in zip(rows, times)])
+
+        best[start:start + chunk] = _zoom_max(
+            np.array([rabi_period(p) for p in part]),
+            lambda rows, times: observable(states_at(rows, times), initial, idx))
+    return best
+
+
+def _corr_values(states: np.ndarray, initial: StateVector, idx: np.ndarray) -> np.ndarray:
+    return _corr_from_states(states, _z_observables(initial.n)[:, idx])
+
+
+def _amplitudes(points: list[ModelParams], initial: StateVector, n_T: int | None) -> np.ndarray:
+    """corr_z12 amplitudes at each point; a vanishing coupling g + V = 0
+    leaves the initial basis state stationary, so its amplitude is 0."""
+    amps = np.zeros(len(points))
+    live = [k for k, p in enumerate(points) if p.control != 0.0]
+    amps[live] = _two_period_max([points[k] for k in live], initial, _corr_values, n_T)
+    return amps
 
 
 def amplitude(cfg: ExperimentConfig, *, trotterized: bool = False) -> float:
@@ -211,16 +300,15 @@ def amplitude(cfg: ExperimentConfig, *, trotterized: bool = False) -> float:
     coupling g + V = 0 leaves the initial eigenstate stationary, so the
     amplitude is 0.
     """
-    if cfg.params.control == 0.0:
-        return 0.0
-    return _two_period_max(cfg, lambda states, initial: _corr_from_states(states, initial.n),
-                           trotterized=trotterized)
+    return float(_amplitudes([cfg.params], _initial(cfg), cfg.n_T if trotterized else None)[0])
 
 
 def survival_minimum(cfg: ExperimentConfig) -> float:
     """Minimum of the exact survival probability over two Rabi periods, by
     the same grid and zoom passes."""
-    return -_two_period_max(cfg, lambda states, initial: -_survival_values(states, initial))
+    def values(states, initial, idx):
+        return -_survival_values(states, initial.amplitudes[idx])
+    return -float(_two_period_max([cfg.params], _initial(cfg), values)[0])
 
 
 def classify_amplitude(amp: float) -> str:
@@ -261,7 +349,7 @@ def fidelity_vs_steps(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 def survival_series(cfg: ExperimentConfig) -> TimeSeries:
     """Exact survival probability |<psi(0)|psi(t)>|^2 on a uniform grid."""
     initial, times, states = _exact_grid(cfg)
-    return TimeSeries(times, _survival_values(states, initial))
+    return TimeSeries(times, _survival_values(states, initial.amplitudes))
 
 
 def correlation_series(cfg: ExperimentConfig) -> tuple[TimeSeries, TimeSeries | None]:
@@ -269,25 +357,23 @@ def correlation_series(cfg: ExperimentConfig) -> tuple[TimeSeries, TimeSeries | 
     digital evolution at cfg.n_T on the same grid."""
     params = cfg.params
     initial, times, states = _exact_grid(cfg)
-    exact = TimeSeries(times, _corr_from_states(states, params.n_qubits))
+    signs = _z_observables(params.n_qubits)
+    exact = TimeSeries(times, _corr_from_states(states, signs))
     if not cfg.trotter:
         return exact, None
     digital_states = trotter_states_at(initial, params, times, cfg.n_T)
-    return exact, TimeSeries(times, _corr_from_states(digital_states, params.n_qubits))
+    return exact, TimeSeries(times, _corr_from_states(digital_states, signs))
 
 
 def phase_sweep(cfg: ExperimentConfig, *, trotterized: bool = False) -> SweepResult:
     """Amplitude of corr_z12 on a g = V grid, with the phase-line label of
     each point."""
     controls = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
-    amps = np.empty(len(controls))
-    labels = []
-    for k, gv in enumerate(controls):
-        params = ModelParams(epsilon=cfg.params.epsilon, g=float(gv), V=float(gv), j=1)
-        point = replace(cfg, params=params)
-        amps[k] = amplitude(point, trotterized=trotterized)
-        labels.append(critical_line(params))
-    return SweepResult(control=controls, amplitude=amps, phase=tuple(labels))
+    points = [ModelParams(epsilon=cfg.params.epsilon, g=float(gv), V=float(gv), j=1)
+              for gv in controls]
+    amps = _amplitudes(points, _initial(cfg), cfg.n_T if trotterized else None)
+    return SweepResult(control=controls, amplitude=amps,
+                       phase=tuple(critical_line(p) for p in points))
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:

@@ -39,7 +39,7 @@ from typing import Union
 
 import numpy as np
 
-from .checks import finite, integer, probability
+from .checks import finite, integer, probability, real
 from .paulis import PauliString
 from .statevector import StateVector, apply_steps, rotation_steps
 from .trotter import TrotterSchedule
@@ -60,7 +60,7 @@ class Rotation:
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"rotation axis must be x, y or z, got {self.axis!r}")
-        finite(self.angle, "angle")
+        finite(real(self.angle, "angle"), "angle")
         integer(self.qubit, "qubit", 1)
 
 
@@ -71,9 +71,11 @@ class MS:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        finite(self.angle, "angle")
+        finite(real(self.angle, "angle"), "angle")
         if self.axis != "x":
             raise ValueError("only x-basis MS gates are emitted by this compiler")
+        if not isinstance(self.qubits, tuple):
+            raise ValueError(f"MS qubits must be a tuple, got {self.qubits!r}")
         if len(self.qubits) < 2:
             raise ValueError("an MS gate acts on at least two ions")
         for q in self.qubits:
@@ -87,7 +89,7 @@ class GlobalPhase:
     angle: float
 
     def __post_init__(self):
-        finite(self.angle, "angle")
+        finite(real(self.angle, "angle"), "angle")
 
 
 NativeGate = Union[Rotation, MS, GlobalPhase]

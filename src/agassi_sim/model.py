@@ -151,6 +151,11 @@ def _coupling_free_blocks(j: int) -> tuple[PauliSum, PauliSum, PauliSum]:
     return ops["Jzero"], pair, jpm2
 
 
+def coupling_weights(params: ModelParams) -> tuple[float, float, float]:
+    """The weights ``(epsilon, -g, -V/2)`` of the three coupling-free blocks in H."""
+    return params.epsilon, -params.g, -params.V / 2
+
+
 def build_hamiltonian(params: ModelParams) -> PauliSum:
     """Agassi Hamiltonian on 4j qubits, built from the collective operators
     as one weighted merge of the three coupling-free blocks.
@@ -158,8 +163,7 @@ def build_hamiltonian(params: ModelParams) -> PauliSum:
     The identity component (a constant energy offset, -g/2 at j=1) is
     removed so that the result coincides with the j=1 split form.
     """
-    weights = (params.epsilon, -params.g, -params.V / 2)
-    blocks = zip(_coupling_free_blocks(params.j), weights)
+    blocks = zip(_coupling_free_blocks(params.j), coupling_weights(params))
     h = PauliSum.from_terms((t.scaled(w) for block, w in blocks for t in block), params.n_qubits)
     return h.without_identity()
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .checks import finite, same_qubits
+from .checks import finite, real, same_qubits
 from .paulis import PauliString, PauliSum, pauli_action, to_matrix, x_blocks
 
 NORM_TOL = 1e-8
@@ -183,7 +183,7 @@ def apply_pauli_exponential(state: StateVector, p: PauliString, theta: float) ->
     """exp(-i theta P) |state> for a Pauli string with coefficient +1 or -1
     (a sign flip of theta): a one-entry rotation layer run for a step theta.
     """
-    finite(theta, "theta")
+    finite(real(theta, "theta"), "theta")
     same_qubits(p.n, state.n)
     c = p.coefficient
     if abs(c.imag) > 1e-12 or abs(abs(c.real) - 1.0) > 1e-12:
@@ -213,8 +213,18 @@ class ExactPropagator:
         """Amplitudes at many times, shape (len(times), 2^n)."""
         same_qubits(self.n, state.n)
         coeffs = self.eigenvectors.conj().T @ state.amplitudes
-        phases = np.exp(-1j * np.outer(finite(times, "times"), self.eigenvalues))
-        return (phases * coeffs) @ self.eigenvectors.T
+        return spectral_states(self.eigenvalues, self.eigenvectors, coeffs,
+                               np.ravel(finite(times, "times")))
+
+
+def spectral_states(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
+                    coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``sum_m coeffs[m] exp(-i eigenvalues[m] t) eigenvectors[:, m]`` at each
+    time, shape (..., len(times), d).  Leading axes batch over Hamiltonians:
+    eigenvalues (..., d), eigenvectors (..., d, d), coeffs (..., d) and
+    times (..., T)."""
+    phases = np.exp(-1j * (times[..., :, None] * eigenvalues[..., None, :]))
+    return (phases * coeffs[..., None, :]) @ np.swapaxes(eigenvectors, -1, -2)
 
 
 def exact_evolve(state: StateVector, hamiltonian: PauliSum, t: float) -> StateVector:

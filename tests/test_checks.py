@@ -8,7 +8,8 @@ import pytest
 
 import agassi_sim
 from agassi_sim.experiments import ExperimentConfig
-from agassi_sim.ion_compiler import MS, GateSequence, Rotation, count_gates, error_budget
+from agassi_sim.ion_compiler import (MS, GateSequence, GlobalPhase, Rotation, count_gates,
+                                     error_budget)
 from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian
 from agassi_sim.paulis import pauli
 from agassi_sim.statevector import ExactPropagator, apply_pauli_exponential, basis_state
@@ -26,6 +27,13 @@ def _exact():
 REFUSALS = {
     "rotation-float-qubit": (lambda: Rotation("x", np.pi, 2.5), "^qubit must be an integer"),
     "ms-float-ion": (lambda: MS(np.pi / 2, "x", (1.5, 2)), "^MS qubit must be an integer"),
+    "ms-list-ions": (lambda: MS(0.1, "x", [1, 2]), "^MS qubits must be a tuple"),
+    "rotation-bool-angle": (lambda: Rotation("x", True, 1), "^angle must be a number"),
+    "ms-bool-angle": (lambda: MS(True, "x", (1, 2)), "^angle must be a number"),
+    "phase-bool-angle": (lambda: GlobalPhase(False), "^angle must be a number"),
+    "exponential-bool-theta": (
+        lambda: apply_pauli_exponential(basis_state("dd"), pauli("XX"), True),
+        "^theta must be a number"),
     "schedule-bool-steps": (lambda: build_schedule(PARAMS, 1.0, True), "^n_T must be an integer"),
     "sequence-bool-steps": (lambda: GateSequence(4, (), n_steps=True),
                             "^n_steps must be an integer"),

@@ -4,16 +4,22 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import agassi_sim
+from agassi_sim import experiments
 from agassi_sim.cli import main as cli_main
 from agassi_sim.experiments import (
     EXPERIMENTS,
+    GRID_SAMPLES,
     MAX_AMPLITUDES,
+    ZOOM_SAMPLES,
+    ZOOM_WIDTH,
     ExperimentConfig,
     amplitude,
     classify_amplitude,
@@ -26,7 +32,10 @@ from agassi_sim.experiments import (
     survival_minimum,
     survival_series,
 )
-from agassi_sim.model import ModelParams
+from agassi_sim.model import ModelParams, build_hamiltonian
+from agassi_sim.paulis import PauliString, PauliSum
+from agassi_sim.statevector import ExactPropagator, basis_state
+from agassi_sim.trotter import trotter_states_at
 
 
 def transfer_amplitude(eps: float, gv: float) -> float:
@@ -138,6 +147,121 @@ class TestSweep:
     def test_labels_follow_phase_line(self):
         sweep = phase_sweep(cfg_for("phase_sweep", 0.0, 0.0, sweep_points=5))
         assert sweep.phase == ("SP", "SP", "BSP", "BSP", "BSP")
+
+
+def reference_max(params: ModelParams, values, states_at) -> float:
+    """The one-point search written out on full-space states: the grid over
+    two Rabi periods, then zoom passes on the bracket around the best sample
+    until it is at most ZOOM_WIDTH wide or stops shrinking."""
+    times = np.linspace(0.0, 2 * rabi_period(params), GRID_SAMPLES)
+    best, width = -np.inf, np.inf
+    while True:
+        samples = values(states_at(times))
+        k = int(np.argmax(samples))
+        best = max(best, float(samples[k]))
+        lo, hi = times[max(k - 1, 0)], times[min(k + 1, len(times) - 1)]
+        if hi - lo <= ZOOM_WIDTH or hi - lo >= width:
+            return best
+        width = hi - lo
+        times = np.linspace(lo, hi, ZOOM_SAMPLES)
+
+
+def z_signs(qubit: int, n: int = 4) -> np.ndarray:
+    """Eigenvalue of Z on qubit (1 = most significant bit, bit 0 = up) per basis index."""
+    return 1.0 - 2.0 * ((np.arange(2**n) >> (n - qubit)) & 1)
+
+
+def full_corr(states: np.ndarray) -> np.ndarray:
+    prob = np.abs(states) ** 2
+    z1, z2 = z_signs(1), z_signs(2)
+    return prob @ (z1 * z2) - (prob @ z1) * (prob @ z2)
+
+
+def sweep_cfg(start: float, stop: float, points: int, **kw) -> ExperimentConfig:
+    return ExperimentConfig("phase_sweep", sweep_start=start, sweep_stop=stop,
+                            sweep_points=points, **kw)
+
+
+class TestBatchedSearch:
+    """The sweep searches every point at once, in capped chunks, inside the
+    initial state's particle-number sector."""
+
+    @pytest.mark.parametrize("eps", [0.9, 1.0, 1.1])
+    def test_full_sweep_pins_the_closed_form(self, eps):
+        sweep = phase_sweep(ExperimentConfig("phase_sweep", params=ModelParams(epsilon=eps)))
+        assert len(sweep.control) == 101
+        expected = [oracle_amplitude(eps, 2 * gv) for gv in sweep.control]
+        assert np.max(np.abs(sweep.amplitude - expected)) < 1e-13
+
+    def test_sweep_through_zero_and_negative_coupling(self):
+        cfg = sweep_cfg(-1.0, 1.0, 41)
+        chunk = experiments.SEARCH_AMPLITUDES // (GRID_SAMPLES * 6)
+        assert 1 < chunk < 41 and 41 % chunk != 0
+        sweep = phase_sweep(cfg)
+        zero = list(sweep.control).index(0.0)
+        assert sweep.amplitude[zero] == 0.0
+        expected = [oracle_amplitude(1.0, 2 * gv) for gv in sweep.control]
+        assert np.max(np.abs(sweep.amplitude - expected)) < 1e-13
+        # each point alone (the one-point search) gives the batched value
+        alone = [amplitude(cfg_for("correlation", gv, gv)) for gv in sweep.control]
+        assert np.max(np.abs(sweep.amplitude - alone)) < 1e-14
+
+    def test_chunk_size_does_not_change_the_result(self, monkeypatch):
+        cfg = sweep_cfg(-0.3, 1.2, 23)
+        default = phase_sweep(cfg).amplitude
+        monkeypatch.setattr(experiments, "SEARCH_AMPLITUDES", 3 * GRID_SAMPLES * 6)
+        spectra = []
+        sector_spectra = experiments._sector_spectra
+        monkeypatch.setattr(experiments, "_sector_spectra",
+                            lambda points, *rest: spectra.append(len(points))
+                            or sector_spectra(points, *rest))
+        small = phase_sweep(cfg).amplitude
+        assert spectra == [3] * 7 + [2]
+        assert np.max(np.abs(small - default)) < 1e-14
+
+    @pytest.mark.parametrize("init", ["dduu", "dudd", "uuuu"])
+    def test_sector_search_matches_full_space_search(self, init):
+        initial = basis_state(init)
+        sweep = phase_sweep(sweep_cfg(-0.45, 1.15, 9, initial_state=init))
+        for gv, amp in zip(sweep.control, sweep.amplitude):
+            params = ModelParams(g=float(gv), V=float(gv))
+            states_at = partial(ExactPropagator(build_hamiltonian(params)).states_at, initial)
+            assert abs(amp - reference_max(params, full_corr, states_at)) < 1e-12
+        for g, v in ((0.3, 0.1), (-0.2, 0.7), (0.9, 0.4)):
+            params = ModelParams(g=g, V=v)
+            states_at = partial(ExactPropagator(build_hamiltonian(params)).states_at, initial)
+            minimum = -reference_max(
+                params, lambda s: -np.abs(s @ initial.amplitudes.conj()) ** 2, states_at)
+            cfg = ExperimentConfig("survival", params=params, initial_state=init)
+            assert abs(survival_minimum(cfg) - minimum) < 1e-12
+
+    @pytest.mark.parametrize("init", ["dduu", "dudd"])
+    def test_digital_sector_search_matches_full_space_search(self, init):
+        initial = basis_state(init)
+        sweep = phase_sweep(sweep_cfg(0.1, 0.9, 5, n_T=5, initial_state=init), trotterized=True)
+        for gv, amp in zip(sweep.control, sweep.amplitude):
+            params = ModelParams(g=float(gv), V=float(gv))
+            states_at = partial(trotter_states_at, initial, params, n_T=5)
+            assert abs(amp - reference_max(params, full_corr, states_at)) < 1e-12
+
+    def test_sweep_memory_stays_under_the_cap(self):
+        cfg = ExperimentConfig("phase_sweep")
+        phase_sweep(cfg)  # fill the small caches first
+        tracemalloc.start()
+        try:
+            phase_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_coupling_out_of_the_sector_refused(self, monkeypatch):
+        blocks = experiments._coupling_free_blocks(1)
+        leak = PauliSum.from_terms([PauliString(1e-6, "XIII")], 4)
+        monkeypatch.setattr(experiments, "_coupling_free_blocks",
+                            lambda j: (blocks[0] + leak, *blocks[1:]))
+        with pytest.raises(AssertionError, match="particle-number sector"):
+            phase_sweep(sweep_cfg(0.2, 0.6, 3))
 
 
 class TestFidelitySeries:

@@ -23,9 +23,9 @@ enough to resolve the saturation plateau.
 
 The search runs every point of a sweep at once, in chunks of at most
 SEARCH_AMPLITUDES amplitudes per pass, and each point keeps its own stopping
-rule.  Exact evolution runs inside the initial state's particle-number sector
-(6 of the 16 basis states for |dduu>): H conserves the particle number, so
-the sector Hamiltonians of a chunk are one stack and one batched ``eigh``.
+rule.  Exact evolution runs on the initial state's coset of the XOR span of
+H's x masks (|dduu> and |uudd> at j = 1, 2^(3j-2) states in general), which H
+never leaves, so the Hamiltonians of a chunk are one stack and one ``eigh``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .checks import boolean, finite, integer, probability, real, text
 from .ion_compiler import compile_schedule, count_gates, error_budget, sequence_to_text
 from .model import (ModelParams, _coupling_free_blocks, build_hamiltonian, coupling_weights,
                     critical_line)
-from .paulis import pauli_action, to_matrix
+from .paulis import pauli_action, to_matrix, x_blocks, x_span
 from .statevector import (UNITARITY_TOL, ExactPropagator, StateVector, TimeSeries, basis_state,
                           fidelity, spectral_states)
 from .trotter import build_schedule, trotter_evolve, trotter_states_at
@@ -71,12 +71,8 @@ maximum, below the rounding of the observable itself."""
 
 SEARCH_AMPLITUDES = 2**15
 """Most amplitudes one search pass holds, counted as points * GRID_SAMPLES *
-sector dimension: a sweep is searched in chunks of that many points (13 at
+coset dimension: a sweep is searched in chunks of that many points (40 at
 j = 1), and never fewer than one."""
-
-SECTOR_TOL = 1e-12
-"""Largest Hamiltonian entry allowed between the particle-number sector and
-the states outside it, which the sector search drops."""
 
 
 @dataclass(frozen=True)
@@ -195,26 +191,14 @@ def _survival_values(states: np.ndarray, initial: np.ndarray) -> np.ndarray:
     return np.abs(states @ initial.conj()) ** 2
 
 
-def _sector(initial: StateVector) -> np.ndarray:
-    """Sorted basis indices with a particle number that the initial state
-    holds.  H conserves the particle number, so evolution stays inside."""
-    counts = np.bitwise_count(np.arange(2**initial.n))
-    return np.flatnonzero(np.isin(counts, counts[initial.amplitudes != 0]))
-
-
-def _sector_spectra(points: list[ModelParams], idx: np.ndarray,
-                    blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of each point's Hamiltonian restricted to
-    the sector idx, by one batched ``eigh``; ``blocks`` holds the dense
-    coupling-free blocks that ``coupling_weights`` weighs."""
+def _sector_spectra(points: list[ModelParams], blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of each point's Hamiltonian on the search
+    space, by one batched ``eigh``; ``blocks`` holds the dense coupling-free
+    blocks that ``coupling_weights`` weighs, cut to that space."""
     h = np.tensordot([coupling_weights(p) for p in points], blocks, axes=1)
     if np.abs(h - h.conj().swapaxes(1, 2)).max() > UNITARITY_TOL:
         raise ValueError("Hamiltonian must be Hermitian")
-    rows = h[:, idx]
-    leak = np.abs(np.delete(rows, idx, axis=2)).max(initial=0.0)
-    if leak > SECTOR_TOL:
-        raise AssertionError(f"H couples the particle-number sector to other states by {leak:.3g}")
-    return np.linalg.eigh(rows[:, :, idx])
+    return np.linalg.eigh(h)
 
 
 def _zoom_max(periods: np.ndarray, values_at: Callable) -> np.ndarray:
@@ -246,23 +230,24 @@ def _two_period_max(points: list[ModelParams], initial: StateVector, observable:
                     n_T: int | None = None) -> np.ndarray:
     """Per point, the maximum of ``observable(states, initial, idx)`` over two
     Rabi periods, under exact or (n_T given) digital evolution from one initial
-    state; ``states`` are sector amplitudes, on the basis states ``idx``.
+    state; ``states`` are amplitudes on ``idx``, the initial state's coset.
 
     Points go through :func:`_zoom_max` in chunks of at most SEARCH_AMPLITUDES
     amplitudes per pass.  Digital states are evolved per point in the full
-    space and then read on the sector, outside which they are exactly zero."""
-    idx = _sector(initial)
+    space and then read on idx, outside which they are exactly zero."""
     best = np.empty(len(points))
     if not points:
         return best
+    free = _coupling_free_blocks(points[0].j)
+    span = x_span([x for block in free for x, _ in x_blocks(block)])
+    idx = np.unique(np.flatnonzero(initial.amplitudes)[:, None] ^ span)
     if n_T is None:
-        blocks = np.array([to_matrix(b.without_identity())
-                           for b in _coupling_free_blocks(points[0].j)])
+        blocks = np.array([to_matrix(b.without_identity())[np.ix_(idx, idx)] for b in free])
     chunk = max(1, SEARCH_AMPLITUDES // (GRID_SAMPLES * len(idx)))
     for start in range(0, len(points), chunk):
         part = points[start:start + chunk]
         if n_T is None:
-            energies, vectors = _sector_spectra(part, idx, blocks)
+            energies, vectors = _sector_spectra(part, blocks)
             coeffs = vectors.conj().swapaxes(1, 2) @ initial.amplitudes[idx]
 
             def states_at(rows, times):

@@ -39,7 +39,7 @@ from typing import Union
 
 import numpy as np
 
-from .checks import finite, integer, probability, real
+from .checks import finite, integer, probability, real, same_qubits
 from .paulis import PauliString
 from .statevector import StateVector, apply_steps, rotation_steps
 from .trotter import TrotterSchedule
@@ -311,8 +311,7 @@ def _sequence_steps(sequence: GateSequence) -> tuple:
 
 def simulate_sequence(state: StateVector, sequence: GateSequence) -> StateVector:
     """Apply every native gate of a program by its defining unitary."""
-    if state.n != sequence.n_qubits:
-        raise ValueError(f"state has {state.n} qubits, program has {sequence.n_qubits}")
+    same_qubits(sequence.n_qubits, state.n)
     amps = apply_steps(state.amplitudes[None, :], _sequence_steps(sequence), sequence.n_steps)
     return StateVector(amps[0], state.n)
 

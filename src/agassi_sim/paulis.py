@@ -321,6 +321,16 @@ def x_blocks(op: PauliSum) -> tuple[tuple[int, np.ndarray], ...]:
     return tuple(blocks.items())
 
 
+def x_span(x_masks) -> np.ndarray:
+    """Every XOR of some x masks, each once and 0 first (built by doubling); a
+    sum with these x masks maps basis state k into ``k ^ x_span(...)``."""
+    span = np.zeros(1, dtype=np.int64)
+    for x in x_masks:
+        if x not in span:
+            span = np.concatenate([span, span ^ x])
+    return span
+
+
 def to_matrix(op: PauliSum | PauliString) -> np.ndarray:
     """Dense ``2^n x 2^n`` matrix of a Pauli sum or string.
 

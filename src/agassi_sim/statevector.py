@@ -8,7 +8,7 @@ Spin patterns accept the characters ``u``/``d`` or the arrows.
 Pauli strings act as bit-mask index permutations plus per-index phases.  Any
 product of Pauli exponentials (one exponential, a Trotter step, a compiled
 program) runs through one kernel, :func:`rotation_steps` and :func:`apply_steps`;
-dense matrices appear only in :class:`ExactPropagator`, the n <= 12 oracle.
+the n <= 12 oracle :class:`ExactPropagator` is one ``eigh`` of H's coset blocks.
 
 State vectors are owned exclusively while being evolved; all functions here
 return fresh vectors and may be called concurrently on distinct states.
@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .checks import finite, real, same_qubits
-from .paulis import PauliString, PauliSum, pauli_action, to_matrix, x_blocks
+from .paulis import PauliString, PauliSum, pauli_action, to_matrix, x_blocks, x_span
 
 NORM_TOL = 1e-8
 UNITARITY_TOL = 1e-10
@@ -193,10 +193,10 @@ def apply_pauli_exponential(state: StateVector, p: PauliString, theta: float) ->
 
 
 class ExactPropagator:
-    """Spectral propagator exp(-iHt) for a Hermitian Pauli sum, n <= 12.
-
-    The eigendecomposition is computed once; states at arbitrary times then
-    cost one small matrix-vector product each.
+    """Spectral propagator exp(-iHt) for a Hermitian Pauli sum, n <= 12: one
+    batched ``eigh`` of H's blocks on the cosets ``k ^ x_span(x masks of H)``,
+    which H never mixes.  ``cosets`` holds one row of basis indices per coset
+    (its smallest first), ``eigenvalues`` (cosets, d), ``eigenvectors`` (cosets, d, d).
     """
 
     def __init__(self, hamiltonian: PauliSum):
@@ -204,7 +204,12 @@ class ExactPropagator:
             raise ValueError("Hamiltonian must be Hermitian")
         self.n = hamiltonian.n
         matrix = to_matrix(hamiltonian)  # raises CapacityError beyond the guard
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(matrix)
+        masks = [x for x, _ in x_blocks(hamiltonian)]
+        k = least = np.arange(2**self.n)
+        for x in masks:  # least[k] becomes the smallest index of k's coset
+            least = np.minimum(least, least[k ^ x])
+        c = self.cosets = np.flatnonzero(least == k)[:, None] ^ x_span(masks)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(matrix[c[..., None], c[:, None]])
 
     def evolve(self, state: StateVector, t: float) -> StateVector:
         return StateVector(self.states_at(state, [t])[0], self.n)
@@ -212,9 +217,10 @@ class ExactPropagator:
     def states_at(self, state: StateVector, times: np.ndarray) -> np.ndarray:
         """Amplitudes at many times, shape (len(times), 2^n)."""
         same_qubits(self.n, state.n)
-        coeffs = self.eigenvectors.conj().T @ state.amplitudes
-        return spectral_states(self.eigenvalues, self.eigenvectors, coeffs,
-                               np.ravel(finite(times, "times")))
+        coeffs = np.einsum("cij,ci->cj", self.eigenvectors.conj(), state.amplitudes[self.cosets])
+        states = spectral_states(self.eigenvalues, self.eigenvectors, coeffs,
+                                 np.ravel(finite(times, "times")))
+        return np.concatenate(states, axis=1)[:, np.argsort(self.cosets, axis=None)]
 
 
 def spectral_states(eigenvalues: np.ndarray, eigenvectors: np.ndarray,

@@ -1,5 +1,6 @@
 """Input checks: the refusals made through agassi_sim.checks, and a guard that
-keeps every finiteness and qubit-count test in that one module."""
+keeps every finiteness and qubit-count test in that one module (and every
+basis-index popcount in agassi_sim.paulis)."""
 
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 import agassi_sim
 from agassi_sim.experiments import ExperimentConfig
 from agassi_sim.ion_compiler import (MS, GateSequence, GlobalPhase, Rotation, count_gates,
-                                     error_budget)
+                                     error_budget, simulate_sequence)
 from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian
 from agassi_sim.paulis import pauli
 from agassi_sim.statevector import ExactPropagator, apply_pauli_exponential, basis_state
@@ -57,6 +58,8 @@ REFUSALS = {
                         "^qubit counts differ: 4 vs 8"),
     "exponential-8-on-4": (lambda: apply_pauli_exponential(EIGHT_QUBITS, pauli("XXXX"), 0.1),
                            "^qubit counts differ: 4 vs 8"),
+    "simulate-8-on-4": (lambda: simulate_sequence(EIGHT_QUBITS, GateSequence(4, ())),
+                        "^qubit counts differ: 4 vs 8"),
 }
 
 
@@ -66,9 +69,13 @@ def test_refused_with_a_message_naming_the_field(make, message):
         make()
 
 
+HOMES = {"isfinite(": "checks.py", "qubit counts differ": "checks.py",
+         "bitwise_count": "paulis.py"}
+
+
 def test_finiteness_and_qubit_count_checks_live_in_checks_only():
     package = Path(agassi_sim.__file__).parent
     copies = [f"{path.name}: {needle}" for path in sorted(package.glob("*.py"))
-              if path.name != "checks.py"
-              for needle in ("isfinite(", "qubit counts differ") if needle in path.read_text()]
+              for needle, home in HOMES.items()
+              if path.name != home and needle in path.read_text()]
     assert copies == []

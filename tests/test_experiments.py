@@ -32,10 +32,12 @@ from agassi_sim.experiments import (
     survival_minimum,
     survival_series,
 )
-from agassi_sim.model import ModelParams, build_hamiltonian
-from agassi_sim.paulis import PauliString, PauliSum
-from agassi_sim.statevector import ExactPropagator, basis_state
+from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian
+from agassi_sim.paulis import PauliString, PauliSum, x_blocks, x_span
+from agassi_sim.statevector import (ExactPropagator, StateVector, basis_index, basis_state,
+                                    expectation)
 from agassi_sim.trotter import trotter_states_at
+from conftest import dense_sum
 
 
 def transfer_amplitude(eps: float, gv: float) -> float:
@@ -166,6 +168,20 @@ def reference_max(params: ModelParams, values, states_at) -> float:
         times = np.linspace(lo, hi, ZOOM_SAMPLES)
 
 
+def dense_states_at(h: PauliSum, initial):
+    """Full-space exact states at given times, from an independent dense
+    matrix and ``np.linalg.eigh``."""
+    energies, vectors = np.linalg.eigh(dense_sum(h))
+    coeffs = vectors.conj().T @ initial.amplitudes
+    return lambda times: (np.exp(-1j * np.outer(times, energies)) * coeffs) @ vectors.T
+
+
+def coset_size(j: int) -> int:
+    """States in the span of the x masks of the coupling-free blocks at j."""
+    blocks = experiments._coupling_free_blocks(j)
+    return len(x_span([x for block in blocks for x, _ in x_blocks(block)]))
+
+
 def z_signs(qubit: int, n: int = 4) -> np.ndarray:
     """Eigenvalue of Z on qubit (1 = most significant bit, bit 0 = up) per basis index."""
     return 1.0 - 2.0 * ((np.arange(2**n) >> (n - qubit)) & 1)
@@ -183,8 +199,8 @@ def sweep_cfg(start: float, stop: float, points: int, **kw) -> ExperimentConfig:
 
 
 class TestBatchedSearch:
-    """The sweep searches every point at once, in capped chunks, inside the
-    initial state's particle-number sector."""
+    """The sweep searches every point at once, in capped chunks, on the
+    initial state's coset of the x-mask span."""
 
     @pytest.mark.parametrize("eps", [0.9, 1.0, 1.1])
     def test_full_sweep_pins_the_closed_form(self, eps):
@@ -195,7 +211,7 @@ class TestBatchedSearch:
 
     def test_sweep_through_zero_and_negative_coupling(self):
         cfg = sweep_cfg(-1.0, 1.0, 41)
-        chunk = experiments.SEARCH_AMPLITUDES // (GRID_SAMPLES * 6)
+        chunk = experiments.SEARCH_AMPLITUDES // (GRID_SAMPLES * coset_size(1))
         assert 1 < chunk < 41 and 41 % chunk != 0
         sweep = phase_sweep(cfg)
         zero = list(sweep.control).index(0.0)
@@ -209,7 +225,7 @@ class TestBatchedSearch:
     def test_chunk_size_does_not_change_the_result(self, monkeypatch):
         cfg = sweep_cfg(-0.3, 1.2, 23)
         default = phase_sweep(cfg).amplitude
-        monkeypatch.setattr(experiments, "SEARCH_AMPLITUDES", 3 * GRID_SAMPLES * 6)
+        monkeypatch.setattr(experiments, "SEARCH_AMPLITUDES", 3 * GRID_SAMPLES * coset_size(1))
         spectra = []
         sector_spectra = experiments._sector_spectra
         monkeypatch.setattr(experiments, "_sector_spectra",
@@ -225,11 +241,11 @@ class TestBatchedSearch:
         sweep = phase_sweep(sweep_cfg(-0.45, 1.15, 9, initial_state=init))
         for gv, amp in zip(sweep.control, sweep.amplitude):
             params = ModelParams(g=float(gv), V=float(gv))
-            states_at = partial(ExactPropagator(build_hamiltonian(params)).states_at, initial)
+            states_at = dense_states_at(build_hamiltonian(params), initial)
             assert abs(amp - reference_max(params, full_corr, states_at)) < 1e-12
         for g, v in ((0.3, 0.1), (-0.2, 0.7), (0.9, 0.4)):
             params = ModelParams(g=g, V=v)
-            states_at = partial(ExactPropagator(build_hamiltonian(params)).states_at, initial)
+            states_at = dense_states_at(build_hamiltonian(params), initial)
             minimum = -reference_max(
                 params, lambda s: -np.abs(s @ initial.amplitudes.conj()) ** 2, states_at)
             cfg = ExperimentConfig("survival", params=params, initial_state=init)
@@ -255,13 +271,57 @@ class TestBatchedSearch:
             tracemalloc.stop()
         assert peak < 2e6
 
-    def test_coupling_out_of_the_sector_refused(self, monkeypatch):
+    def test_coupling_out_of_the_coset_evolved_exactly(self, monkeypatch):
+        """A term whose x mask leaves the span grows the coset (here from 2
+        to 4 states) and the search stays exact on it."""
         blocks = experiments._coupling_free_blocks(1)
         leak = PauliSum.from_terms([PauliString(1e-6, "XIII")], 4)
         monkeypatch.setattr(experiments, "_coupling_free_blocks",
                             lambda j: (blocks[0] + leak, *blocks[1:]))
-        with pytest.raises(AssertionError, match="particle-number sector"):
-            phase_sweep(sweep_cfg(0.2, 0.6, 3))
+        sizes = []
+        sector_spectra = experiments._sector_spectra
+        monkeypatch.setattr(experiments, "_sector_spectra",
+                            lambda points, blocks: sizes.append(blocks.shape[1:])
+                            or sector_spectra(points, blocks))
+        sweep = phase_sweep(sweep_cfg(0.2, 0.6, 3))
+        assert sizes == [(4, 4)]
+        for gv, amp in zip(sweep.control, sweep.amplitude):
+            params = ModelParams(g=float(gv), V=float(gv))
+            # the leak sits in the Jzero block, whose weight is epsilon = 1
+            states_at = dense_states_at(build_hamiltonian(params) + leak, basis_state("dduu"))
+            assert abs(amp - reference_max(params, full_corr, states_at)) < 1e-12
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_cosets_hold_the_start_and_2_to_the_3j_minus_2_states(self, j, monkeypatch):
+        start = "d" * 2 * j + "u" * 2 * j
+        assert coset_size(j) == 2 ** (3 * j - 2)
+        params = ModelParams(g=0.3, V=0.2, j=j)
+        cosets = ExactPropagator(build_hamiltonian(params)).cosets
+        assert cosets.shape == (2 ** (4 * j) // coset_size(j), coset_size(j))
+        assert np.any(cosets == basis_index(start), axis=1).sum() == 1
+        sizes = []
+        sector_spectra = experiments._sector_spectra
+        monkeypatch.setattr(experiments, "_sector_spectra",
+                            lambda points, blocks: sizes.append(blocks.shape[1:])
+                            or sector_spectra(points, blocks))
+        cfg = ExperimentConfig("survival", params=params)
+        assert cfg.initial_state == start
+        assert 0.0 <= survival_minimum(cfg) < 1.0
+        assert sizes == [(coset_size(j), coset_size(j))]
+
+    def test_exact_j3_survival_keeps_norm_number_and_energy(self, tmp_path):
+        params = ModelParams(g=0.3, V=0.2, j=3)
+        cfg = ExperimentConfig("survival", params=params, samples=9, out=tmp_path / "s.csv")
+        initial, times, states = experiments._exact_grid(cfg)
+        h, nop = build_hamiltonian(params), build_collective_ops(3)["Nop"]
+        for amps in states:
+            state = StateVector(amps, 12)
+            assert abs(state.norm() - 1.0) < 1e-9
+            assert abs(expectation(state, nop) - expectation(initial, nop)) < 1e-9
+            assert abs(expectation(state, h) - expectation(initial, h)) < 1e-9
+        rows = np.loadtxt(run(cfg)[0], delimiter=",", skiprows=1)
+        assert rows.shape == (9, 3) and rows[0, 2] == pytest.approx(1.0)
+        assert np.all((rows[:, 2] >= 0.0) & (rows[:, 2] <= 1.0 + 1e-12))
 
 
 class TestFidelitySeries:

@@ -291,7 +291,7 @@ class TestSimulateSequence:
             simulate_sequence(state, GateSequence(2, (MS(0.1, "x", (1, 3)),)))
 
     def test_state_size_must_match_program(self):
-        with pytest.raises(ValueError, match="qubits"):
+        with pytest.raises(ValueError, match="^qubit counts differ: 2 vs 4"):
             simulate_sequence(basis_state("dduu"), GateSequence(2, ()))
 
 

@@ -16,6 +16,7 @@ from agassi_sim.paulis import (
     jw_map,
     pauli,
     to_matrix,
+    x_span,
 )
 
 from conftest import dense_string, dense_sum, dense_jw_annihilation
@@ -219,3 +220,17 @@ class TestToMatrix:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             to_matrix(PauliSum.identity(13))
+
+
+class TestXSpan:
+    def test_every_xor_once_zero_first(self):
+        assert list(x_span([0b011, 0b110, 0b101, 0, 0b011])) == [0, 3, 6, 5]
+        assert list(x_span([])) == [0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 63), max_size=8))
+    def test_closed_under_xor(self, masks):
+        span = x_span(masks)
+        assert span[0] == 0 and len(set(span)) == len(span)
+        assert set(span) == {a ^ b for a in span for b in span}
+        assert set(masks) <= set(span)

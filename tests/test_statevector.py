@@ -232,6 +232,41 @@ class TestExactEvolve:
             ExactPropagator(h).states_at(state, np.array([0.0, t]))
 
 
+def random_sum(rng, n: int, kind: str) -> PauliSum:
+    """A random Hermitian sum: "diagonal" (I and Z only, 2^n one-state
+    cosets), "full" (X on every qubit too, one coset) or "mixed" (any letter
+    but never X or Y on the last qubit, so at least two cosets)."""
+    letters = {"diagonal": ["IZ"] * n, "full": ["IXYZ"] * n,
+               "mixed": ["IXYZ"] * (n - 1) + ["IZ"]}[kind]
+    terms = [pauli("".join(rng.choice(list(site)) for site in letters), float(rng.normal()))
+             for _ in range(4 * n)]
+    if kind == "full":
+        terms += [pauli("I" * q + "X" + "I" * (n - 1 - q), float(rng.normal()))
+                  for q in range(n)]
+    return PauliSum.from_terms(terms, n)
+
+
+class TestCosetBlocks:
+    @pytest.mark.parametrize("kind", ["diagonal", "full", "mixed"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_dense_oracle(self, rng, n, kind):
+        h = random_sum(rng, n, kind)
+        prop = ExactPropagator(h)
+        cosets = {"diagonal": 2**n, "full": 1, "mixed": prop.cosets.shape[0]}[kind]
+        assert prop.eigenvalues.shape == (cosets, 2**n // cosets)
+        assert prop.eigenvectors.shape == (cosets, 2**n // cosets, 2**n // cosets)
+        assert kind != "mixed" or cosets >= 2
+        assert sorted(prop.cosets.ravel()) == list(range(2**n))
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        two = np.zeros(2**n, dtype=complex)
+        two[[0, 1]] = [0.6, 0.8j]  # |0> and |1> lie in two cosets unless the span is full
+        times = np.array([0.0, 0.4, 1.3, 2.9])
+        for psi in (amps / np.linalg.norm(amps), two):
+            expected = [dense_expm_hermitian(dense_sum(h), t) @ psi for t in times]
+            got = prop.states_at(StateVector(psi, n), times)
+            assert np.abs(got - expected).max() < 1e-12
+
+
 class TestObservables:
     def test_zz_on_reference(self):
         state = basis_state("dduu")

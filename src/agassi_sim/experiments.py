@@ -23,9 +23,11 @@ enough to resolve the saturation plateau.
 
 The search runs every point of a sweep at once, in chunks of at most
 SEARCH_AMPLITUDES amplitudes per pass, and each point keeps its own stopping
-rule.  Exact evolution runs on the initial state's coset of the XOR span of
-H's x masks (|dduu> and |uudd> at j = 1, 2^(3j-2) states in general), which H
-never leaves, so the Hamiltonians of a chunk are one stack and one ``eigh``.
+rule.  Every exact run, search and time series alike, evolves on the initial
+state's coset of the XOR span of H's x masks (|dduu> and |uudd> at j = 1,
+2^(3j-2) states in general), which H never leaves; ``to_matrix`` builds the
+blocks on it from the Pauli terms, so the Hamiltonians of a chunk are one
+stack and one ``eigh``, and digital states are read on the same coset.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -43,11 +44,9 @@ import numpy as np
 from . import __version__
 from .checks import boolean, finite, integer, probability, real, text
 from .ion_compiler import compile_schedule, count_gates, error_budget, sequence_to_text
-from .model import (ModelParams, _coupling_free_blocks, build_hamiltonian, coupling_weights,
-                    critical_line)
-from .paulis import pauli_action, to_matrix, x_blocks, x_span
-from .statevector import (UNITARITY_TOL, ExactPropagator, StateVector, TimeSeries, basis_state,
-                          fidelity, spectral_states)
+from .model import ModelParams, _coupling_free_blocks, coupling_weights, critical_line
+from .paulis import MATRIX_QUBIT_LIMIT, CapacityError, to_matrix, x_blocks, x_span
+from .statevector import UNITARITY_TOL, StateVector, TimeSeries, basis_state, spectral_states
 from .trotter import build_schedule, trotter_evolve, trotter_states_at
 
 SATURATION_TOL = 1e-6
@@ -171,34 +170,41 @@ def _initial(cfg: ExperimentConfig) -> StateVector:
     return state
 
 
-@lru_cache(maxsize=8)
-def _z_observables(n: int) -> np.ndarray:
-    """Z1, Z2 and Z1 Z2 on every basis state of n qubits, one row each."""
-    signs = np.array([pauli_action(z + "I" * (n - 2))[1].real for z in ("ZI", "IZ", "ZZ")])
-    signs.setflags(write=False)
-    return signs
-
-
-def _corr_from_states(states: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """corr_z12 for states of shape (..., d), given the Z1, Z2 and Z1 Z2
-    signs of their d basis states (rows of ``_z_observables``)."""
-    z1, z2, z12 = signs
-    prob = np.abs(states) ** 2
-    return prob @ z12 - (prob @ z1) * (prob @ z2)
-
-
 def _survival_values(states: np.ndarray, initial: np.ndarray) -> np.ndarray:
     return np.abs(states @ initial.conj()) ** 2
 
 
-def _sector_spectra(points: list[ModelParams], blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of each point's Hamiltonian on the search
-    space, by one batched ``eigh``; ``blocks`` holds the dense coupling-free
-    blocks that ``coupling_weights`` weighs, cut to that space."""
+def _coset_blocks(initial: StateVector, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """idx, the initial state's coset of the x-mask span of the coupling-free
+    blocks at j (a union of cosets for a superposition), and those blocks
+    (identity dropped) on idx; the n <= 12 guard runs before any 2^n array."""
+    if initial.n > MATRIX_QUBIT_LIMIT:
+        raise CapacityError(initial.n)
+    free = _coupling_free_blocks(j)
+    span = x_span([x for block in free for x, _ in x_blocks(block)])
+    idx = np.unique(np.flatnonzero(initial.amplitudes)[:, None] ^ span)
+    return idx, np.array([to_matrix(block.without_identity(), idx) for block in free])
+
+
+def _sector_spectra(points: list[ModelParams], blocks: np.ndarray,
+                    start: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors and the coefficients of ``start`` in them of
+    each point's Hamiltonian on the coset, by one batched ``eigh``; ``blocks``
+    are the coset blocks that ``coupling_weights`` weighs."""
     h = np.tensordot([coupling_weights(p) for p in points], blocks, axes=1)
     if np.abs(h - h.conj().swapaxes(1, 2)).max() > UNITARITY_TOL:
         raise ValueError("Hamiltonian must be Hermitian")
-    return np.linalg.eigh(h)
+    energies, vectors = np.linalg.eigh(h)
+    return energies, vectors, vectors.conj().swapaxes(1, 2) @ start
+
+
+def _exact_states(cfg: ExperimentConfig, times: np.ndarray) -> tuple:
+    """The initial state, its coset idx and the exact states on idx at the
+    given times, shape (len(times), d)."""
+    initial = _initial(cfg)
+    idx, blocks = _coset_blocks(initial, cfg.params.j)
+    spectra = _sector_spectra([cfg.params], blocks, initial.amplitudes[idx])
+    return initial, idx, spectral_states(*spectra, times)[0]
 
 
 def _zoom_max(periods: np.ndarray, values_at: Callable) -> np.ndarray:
@@ -238,17 +244,12 @@ def _two_period_max(points: list[ModelParams], initial: StateVector, observable:
     best = np.empty(len(points))
     if not points:
         return best
-    free = _coupling_free_blocks(points[0].j)
-    span = x_span([x for block in free for x, _ in x_blocks(block)])
-    idx = np.unique(np.flatnonzero(initial.amplitudes)[:, None] ^ span)
-    if n_T is None:
-        blocks = np.array([to_matrix(b.without_identity())[np.ix_(idx, idx)] for b in free])
+    idx, blocks = _coset_blocks(initial, points[0].j)
     chunk = max(1, SEARCH_AMPLITUDES // (GRID_SAMPLES * len(idx)))
     for start in range(0, len(points), chunk):
         part = points[start:start + chunk]
         if n_T is None:
-            energies, vectors = _sector_spectra(part, blocks)
-            coeffs = vectors.conj().swapaxes(1, 2) @ initial.amplitudes[idx]
+            energies, vectors, coeffs = _sector_spectra(part, blocks, initial.amplitudes[idx])
 
             def states_at(rows, times):
                 return spectral_states(energies[rows], vectors[rows], coeffs[rows], times)
@@ -264,7 +265,11 @@ def _two_period_max(points: list[ModelParams], initial: StateVector, observable:
 
 
 def _corr_values(states: np.ndarray, initial: StateVector, idx: np.ndarray) -> np.ndarray:
-    return _corr_from_states(states, _z_observables(initial.n)[:, idx])
+    """corr_z12 of states on idx, shape (..., d); the Z1 and Z2 signs of a
+    basis state are its two most significant bits (qubits 1 and 2)."""
+    z1, z2 = (1.0 - 2.0 * ((idx >> (initial.n - q)) & 1) for q in (1, 2))
+    prob = np.abs(states) ** 2
+    return prob @ (z1 * z2) - (prob @ z1) * (prob @ z2)
 
 
 def _amplitudes(points: list[ModelParams], initial: StateVector, n_T: int | None) -> np.ndarray:
@@ -302,52 +307,40 @@ def classify_amplitude(amp: float) -> str:
     return "BSP" if amp >= 1.0 - SATURATION_TOL else "SP"
 
 
-def _exact_grid(cfg: ExperimentConfig) -> tuple[StateVector, np.ndarray, np.ndarray]:
-    """The initial state, the output time grid and the exact states on it."""
-    initial = _initial(cfg)
-    times = np.linspace(0.0, default_t_final(cfg), cfg.samples)
-    return initial, times, ExactPropagator(build_hamiltonian(cfg.params)).states_at(initial, times)
-
-
 def fidelity_time_series(cfg: ExperimentConfig) -> TimeSeries:
     """Fidelity between exact and digital states on a uniform time grid."""
-    initial, times, exact_states = _exact_grid(cfg)
-    digital_states = trotter_states_at(initial, cfg.params, times, cfg.n_T)
-    overlaps = np.einsum("ki,ki->k", exact_states.conj(), digital_states)
-    return TimeSeries(times, np.abs(overlaps) ** 2)
+    times = np.linspace(0.0, default_t_final(cfg), cfg.samples)
+    initial, idx, exact = _exact_states(cfg, times)
+    digital = trotter_states_at(initial, cfg.params, times, cfg.n_T)[:, idx]
+    return TimeSeries(times, np.abs(np.einsum("ki,ki->k", exact.conj(), digital)) ** 2)
 
 
 def fidelity_vs_steps(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Exact-vs-digital fidelity at fixed final time for n_T = 1..cfg.n_T."""
-    params = cfg.params
-    initial = _initial(cfg)
     t_final = default_t_final(cfg)
-    exact = ExactPropagator(build_hamiltonian(params)).evolve(initial, t_final)
+    initial, idx, exact = _exact_states(cfg, np.array([t_final]))
     steps = np.arange(1, cfg.n_T + 1)
-    fids = np.array([
-        fidelity(exact, trotter_evolve(initial, params, t_final, int(m)))
-        for m in steps
-    ])
-    return steps, fids
+    digital = [trotter_evolve(initial, cfg.params, t_final, int(m)).amplitudes[idx] for m in steps]
+    return steps, _survival_values(np.array(digital), exact[0])
 
 
 def survival_series(cfg: ExperimentConfig) -> TimeSeries:
     """Exact survival probability |<psi(0)|psi(t)>|^2 on a uniform grid."""
-    initial, times, states = _exact_grid(cfg)
-    return TimeSeries(times, _survival_values(states, initial.amplitudes))
+    times = np.linspace(0.0, default_t_final(cfg), cfg.samples)
+    initial, idx, states = _exact_states(cfg, times)
+    return TimeSeries(times, _survival_values(states, initial.amplitudes[idx]))
 
 
 def correlation_series(cfg: ExperimentConfig) -> tuple[TimeSeries, TimeSeries | None]:
     """corr_z12 under exact evolution and, when cfg.trotter, under the
     digital evolution at cfg.n_T on the same grid."""
-    params = cfg.params
-    initial, times, states = _exact_grid(cfg)
-    signs = _z_observables(params.n_qubits)
-    exact = TimeSeries(times, _corr_from_states(states, signs))
+    times = np.linspace(0.0, default_t_final(cfg), cfg.samples)
+    initial, idx, states = _exact_states(cfg, times)
+    exact = TimeSeries(times, _corr_values(states, initial, idx))
     if not cfg.trotter:
         return exact, None
-    digital_states = trotter_states_at(initial, params, times, cfg.n_T)
-    return exact, TimeSeries(times, _corr_from_states(digital_states, signs))
+    digital = trotter_states_at(initial, cfg.params, times, cfg.n_T)[:, idx]
+    return exact, TimeSeries(times, _corr_values(digital, initial, idx))
 
 
 def phase_sweep(cfg: ExperimentConfig, *, trotterized: bool = False) -> SweepResult:

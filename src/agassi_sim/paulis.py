@@ -54,6 +54,9 @@ _LETTER_PRODUCT = {
 class CapacityError(ValueError):
     """Raised when a dense-matrix request exceeds the qubit-count guard."""
 
+    def __init__(self, n: int):
+        super().__init__(f"dense matrix for n={n} exceeds the n<={MATRIX_QUBIT_LIMIT} guard")
+
 
 @dataclass(frozen=True)
 class PauliString:
@@ -331,22 +334,29 @@ def x_span(x_masks) -> np.ndarray:
     return span
 
 
-def to_matrix(op: PauliSum | PauliString) -> np.ndarray:
-    """Dense ``2^n x 2^n`` matrix of a Pauli sum or string.
+def to_matrix(op: PauliSum | PauliString, rows: np.ndarray | None = None) -> np.ndarray:
+    """Dense matrix ``M[..., a, b] = <rows[a]|op|rows[b]>`` of a Pauli sum or
+    string, shape (..., d, d), on ``rows`` of shape (..., d): disjoint sets of
+    basis indices, each closed under the sum's x masks (cosets of their span).
+    The default, every index in order, is the full ``2^n x 2^n`` matrix.
 
-    Guarded at ``n <= MATRIX_QUBIT_LIMIT``; intended as the small-system
-    testing oracle.  Each x block of the sum fills one permuted diagonal,
-    ``M[k ^ x, k] = d_x[k]``.
+    Guarded at ``n <= MATRIX_QUBIT_LIMIT``.  Each x block of the sum fills
+    one permuted diagonal, ``M[pos[k ^ x], pos[k]] = d_x[k]`` with ``pos[k]``
+    the place of k in its row, so nothing larger than the result is made; a
+    row that is not closed under an x mask is refused.
     """
     if isinstance(op, PauliString):
         op = PauliSum.from_terms([op])
     if op.n > MATRIX_QUBIT_LIMIT:
-        raise CapacityError(
-            f"dense matrix for n={op.n} exceeds the n<={MATRIX_QUBIT_LIMIT} guard"
-        )
-    dim = 2**op.n
-    idx = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
+        raise CapacityError(op.n)
+    rows = np.arange(2**op.n) if rows is None else np.asarray(rows)
+    flat = rows.reshape(-1, rows.shape[-1])
+    pos = np.zeros(2**op.n, dtype=np.int64)
+    pos[flat] = np.arange(flat.shape[1])
+    out = np.zeros(flat.shape + flat.shape[-1:], dtype=complex)
     for x_mask, d in x_blocks(op):
-        out[idx ^ x_mask, idx] = d
-    return out
+        target = pos[flat ^ x_mask]
+        if np.any(np.take_along_axis(flat, target, axis=1) != flat ^ x_mask):
+            raise ValueError(f"rows are not closed under the x mask {x_mask:#b}")
+        np.put_along_axis(out, target[:, None], d[flat][:, None], axis=1)
+    return out.reshape(rows.shape + rows.shape[-1:])

@@ -8,7 +8,8 @@ Spin patterns accept the characters ``u``/``d`` or the arrows.
 Pauli strings act as bit-mask index permutations plus per-index phases.  Any
 product of Pauli exponentials (one exponential, a Trotter step, a compiled
 program) runs through one kernel, :func:`rotation_steps` and :func:`apply_steps`;
-the n <= 12 oracle :class:`ExactPropagator` is one ``eigh`` of H's coset blocks.
+the n <= 12 oracle :class:`ExactPropagator` is one ``eigh`` of H's coset blocks,
+which ``to_matrix`` builds from the Pauli terms without the full matrix.
 
 State vectors are owned exclusively while being evolved; all functions here
 return fresh vectors and may be called concurrently on distinct states.
@@ -22,7 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .checks import finite, real, same_qubits
-from .paulis import PauliString, PauliSum, pauli_action, to_matrix, x_blocks, x_span
+from .paulis import (MATRIX_QUBIT_LIMIT, CapacityError, PauliString, PauliSum, pauli_action,
+                     to_matrix, x_blocks, x_span)
 
 NORM_TOL = 1e-8
 UNITARITY_TOL = 1e-10
@@ -109,13 +111,6 @@ def basis_state(pattern) -> StateVector:
     return StateVector(amps, n)
 
 
-def apply_pauli(state: StateVector, p: PauliString) -> np.ndarray:
-    """Raw amplitudes of ``p|state>`` (coefficient included, no norm check)."""
-    same_qubits(p.n, state.n)
-    x_mask, phase = pauli_action(p.letters)
-    return (p.coefficient * phase * state.amplitudes)[np.arange(2**state.n) ^ x_mask]
-
-
 @lru_cache(maxsize=16)
 def _rotation_groups(layer: tuple, n: int) -> tuple:
     """The layer's groups as ``(x_masks, flip, w, size, coupling)``, one
@@ -195,21 +190,23 @@ def apply_pauli_exponential(state: StateVector, p: PauliString, theta: float) ->
 class ExactPropagator:
     """Spectral propagator exp(-iHt) for a Hermitian Pauli sum, n <= 12: one
     batched ``eigh`` of H's blocks on the cosets ``k ^ x_span(x masks of H)``,
-    which H never mixes.  ``cosets`` holds one row of basis indices per coset
-    (its smallest first), ``eigenvalues`` (cosets, d), ``eigenvectors`` (cosets, d, d).
+    which H never mixes, built by ``to_matrix(H, cosets)`` without the full
+    matrix.  ``cosets`` holds one row of basis indices per coset (its
+    smallest first), ``eigenvalues`` (cosets, d), ``eigenvectors`` (cosets, d, d).
     """
 
     def __init__(self, hamiltonian: PauliSum):
         if not hamiltonian.hermitian(tol=UNITARITY_TOL):
             raise ValueError("Hamiltonian must be Hermitian")
         self.n = hamiltonian.n
-        matrix = to_matrix(hamiltonian)  # raises CapacityError beyond the guard
+        if self.n > MATRIX_QUBIT_LIMIT:  # before any 2^n array is made
+            raise CapacityError(self.n)
         masks = [x for x, _ in x_blocks(hamiltonian)]
         k = least = np.arange(2**self.n)
         for x in masks:  # least[k] becomes the smallest index of k's coset
             least = np.minimum(least, least[k ^ x])
-        c = self.cosets = np.flatnonzero(least == k)[:, None] ^ x_span(masks)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(matrix[c[..., None], c[:, None]])
+        self.cosets = np.flatnonzero(least == k)[:, None] ^ x_span(masks)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(to_matrix(hamiltonian, self.cosets))
 
     def evolve(self, state: StateVector, t: float) -> StateVector:
         return StateVector(self.states_at(state, [t])[0], self.n)

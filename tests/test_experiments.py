@@ -25,6 +25,7 @@ from agassi_sim.experiments import (
     classify_amplitude,
     correlation_series,
     default_t_final,
+    fidelity_time_series,
     fidelity_vs_steps,
     phase_sweep,
     rabi_period,
@@ -33,7 +34,7 @@ from agassi_sim.experiments import (
     survival_series,
 )
 from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian
-from agassi_sim.paulis import PauliString, PauliSum, x_blocks, x_span
+from agassi_sim.paulis import CapacityError, PauliString, PauliSum, x_blocks, x_span
 from agassi_sim.statevector import (ExactPropagator, StateVector, basis_index, basis_state,
                                     expectation)
 from agassi_sim.trotter import trotter_states_at
@@ -281,8 +282,8 @@ class TestBatchedSearch:
         sizes = []
         sector_spectra = experiments._sector_spectra
         monkeypatch.setattr(experiments, "_sector_spectra",
-                            lambda points, blocks: sizes.append(blocks.shape[1:])
-                            or sector_spectra(points, blocks))
+                            lambda points, blocks, *rest: sizes.append(blocks.shape[1:])
+                            or sector_spectra(points, blocks, *rest))
         sweep = phase_sweep(sweep_cfg(0.2, 0.6, 3))
         assert sizes == [(4, 4)]
         for gv, amp in zip(sweep.control, sweep.amplitude):
@@ -302,8 +303,8 @@ class TestBatchedSearch:
         sizes = []
         sector_spectra = experiments._sector_spectra
         monkeypatch.setattr(experiments, "_sector_spectra",
-                            lambda points, blocks: sizes.append(blocks.shape[1:])
-                            or sector_spectra(points, blocks))
+                            lambda points, blocks, *rest: sizes.append(blocks.shape[1:])
+                            or sector_spectra(points, blocks, *rest))
         cfg = ExperimentConfig("survival", params=params)
         assert cfg.initial_state == start
         assert 0.0 <= survival_minimum(cfg) < 1.0
@@ -312,9 +313,12 @@ class TestBatchedSearch:
     def test_exact_j3_survival_keeps_norm_number_and_energy(self, tmp_path):
         params = ModelParams(g=0.3, V=0.2, j=3)
         cfg = ExperimentConfig("survival", params=params, samples=9, out=tmp_path / "s.csv")
-        initial, times, states = experiments._exact_grid(cfg)
+        initial, idx, states = experiments._exact_states(cfg, np.linspace(0.0, default_t_final(cfg), 9))
+        assert idx.shape == (coset_size(3),)
         h, nop = build_hamiltonian(params), build_collective_ops(3)["Nop"]
-        for amps in states:
+        for coset_amps in states:
+            amps = np.zeros(2**12, dtype=complex)
+            amps[idx] = coset_amps
             state = StateVector(amps, 12)
             assert abs(state.norm() - 1.0) < 1e-9
             assert abs(expectation(state, nop) - expectation(initial, nop)) < 1e-9
@@ -322,6 +326,76 @@ class TestBatchedSearch:
         rows = np.loadtxt(run(cfg)[0], delimiter=",", skiprows=1)
         assert rows.shape == (9, 3) and rows[0, 2] == pytest.approx(1.0)
         assert np.all((rows[:, 2] >= 0.0) & (rows[:, 2] <= 1.0 + 1e-12))
+
+
+def traced_peak(make) -> int:
+    """Peak traced memory of make(), in bytes."""
+    tracemalloc.start()
+    try:
+        make()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestExactSeries:
+    """Every exact series evolves on the initial state's coset, with blocks
+    built straight from the Pauli terms."""
+
+    @pytest.mark.parametrize("init", ["dduu", "dudd", "uuuu"])
+    def test_series_match_a_full_space_reference(self, init):
+        params, initial = ModelParams(g=0.4, V=0.3), basis_state(init)
+        given = dict(params=params, initial_state=init, samples=33, n_T=5)
+        t_final = default_t_final(ExperimentConfig("survival", **given))
+        times = np.linspace(0.0, t_final, 33)
+        exact_at = dense_states_at(build_hamiltonian(params), initial)
+        exact, digital = exact_at(times), trotter_states_at(initial, params, times, 5)
+
+        survival = survival_series(ExperimentConfig("survival", **given)).values
+        assert np.max(np.abs(survival - np.abs(exact @ initial.amplitudes.conj()) ** 2)) < 1e-12
+        corr_exact, corr_digital = correlation_series(ExperimentConfig("correlation", **given))
+        assert np.max(np.abs(corr_exact.values - full_corr(exact))) < 1e-12
+        assert np.max(np.abs(corr_digital.values - full_corr(digital))) < 1e-12
+        fid = fidelity_time_series(ExperimentConfig("fidelity_vs_time", **given))
+        expected = np.abs(np.einsum("ki,ki->k", exact.conj(), digital)) ** 2
+        assert np.max(np.abs(fid.values - expected)) < 1e-12
+
+        steps, fids = fidelity_vs_steps(ExperimentConfig("fidelity_vs_nT", **given))
+        final = exact_at(np.array([t_final]))[0]
+        expected = [abs(np.vdot(final, trotter_states_at(initial, params, np.array([t_final]),
+                                                         int(m))[0])) ** 2 for m in steps]
+        assert list(steps) == [1, 2, 3, 4, 5]
+        assert np.max(np.abs(fids - expected)) < 1e-12
+
+    @pytest.mark.parametrize("path", ["propagator", "survival_minimum", "correlation"])
+    def test_exact_j3_paths_make_no_full_matrix(self, path):
+        # the 4096 x 4096 complex matrix alone would be 268 MB
+        params = ModelParams(g=0.3, V=0.2, j=3)
+        h = build_hamiltonian(params)
+        make = {
+            "propagator": lambda: ExactPropagator(h),
+            "survival_minimum": lambda: survival_minimum(ExperimentConfig("survival",
+                                                                          params=params)),
+            "correlation": lambda: correlation_series(
+                ExperimentConfig("correlation", params=params, samples=401, trotter=False)),
+        }[path]
+        assert traced_peak(make) < 40e6
+
+    @pytest.mark.parametrize("path", ["survival_minimum", "survival_series", "propagator"])
+    def test_refused_beyond_the_guard_before_any_large_array(self, path):
+        cfg = ExperimentConfig("survival", params=ModelParams(g=0.3, V=0.2, j=4), samples=9)
+        make = {
+            "survival_minimum": lambda: survival_minimum(cfg),
+            "survival_series": lambda: survival_series(cfg),
+            "propagator": lambda: ExactPropagator(PauliSum.identity(20)),
+        }[path]
+
+        def refused():
+            with pytest.raises(CapacityError,
+                               match=r"^dense matrix for n=(16|20) exceeds the n<=12 guard$"):
+                make()
+
+        assert traced_peak(refused) < 2e6
 
 
 class TestFidelitySeries:

@@ -222,6 +222,50 @@ class TestToMatrix:
             to_matrix(PauliSum.identity(13))
 
 
+def x_orbits(op: PauliSum) -> list[list[int]]:
+    """The sets of basis indices that op's x masks map into themselves, each
+    grown from its smallest index by flipping the X and Y sites of every term
+    (written out letter by letter, without ``x_blocks`` or ``x_span``)."""
+    masks = [int("".join("1" if c in "XY" else "0" for c in t.letters), 2) for t in op.terms]
+    orbits, seen = [], set()
+    for k in range(2**op.n):
+        if k not in seen:
+            orbit = {k}
+            for mask in masks:
+                orbit |= {s ^ mask for s in orbit}
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    return orbits
+
+
+class TestToMatrixOnRows:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_dense_oracle_on_cosets_and_every_index(self, rng, n):
+        # X or Y never on the last qubit, so there are at least two cosets
+        letters = ["".join(rng.choice(list("IXYZ"), size=n - 1)) + rng.choice(["I", "Z"])
+                   for _ in range(3 * n)]
+        terms = [PauliString(complex(rng.normal(), rng.normal()), s) for s in letters]
+        op = PauliSum.from_terms(terms, n)
+        dense = dense_sum(op)
+        # each row in a random order, so a row's order is not the index order
+        cosets = np.array([rng.permutation(orbit) for orbit in x_orbits(op)])
+        assert len(cosets) >= 2
+        for rows in (cosets[-1], cosets, np.arange(2**n)):
+            blocks = to_matrix(op, rows)
+            d = rows.shape[-1]
+            assert blocks.shape == rows.shape + (d,)
+            for r, block in zip(rows.reshape(-1, d), blocks.reshape(-1, d, d)):
+                assert np.max(np.abs(block - dense[np.ix_(r, r)])) < 1e-15
+
+    def test_row_not_closed_under_a_mask_refused(self):
+        op = PauliSum.from_terms([pauli("XI"), pauli("ZZ", 0.5)])
+        assert np.allclose(to_matrix(op, [[0, 2], [1, 3]]), [[[0.5, 1], [1, -0.5]],
+                                                               [[-0.5, 1], [1, 0.5]]])
+        for rows in ([0, 1], [[0, 2], [1, 2]], [[0, 1], [2, 3]]):
+            with pytest.raises(ValueError, match="not closed under the x mask 0b10"):
+                to_matrix(op, rows)
+
+
 class TestXSpan:
     def test_every_xor_once_zero_first(self):
         assert list(x_span([0b011, 0b110, 0b101, 0, 0b011])) == [0, 3, 6, 5]

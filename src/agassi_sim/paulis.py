@@ -334,29 +334,54 @@ def x_span(x_masks) -> np.ndarray:
     return span
 
 
+def row_places(rows: np.ndarray, n: int, x_masks) -> np.ndarray:
+    """``places[i, ..., a]``, the place in its row of ``rows[..., a] ^
+    x_masks[i]``, shape ``(len(x_masks), *rows.shape)``, for rows of shape
+    (..., d) of basis indices.  The indices must be integers in [0, 2^n),
+    each at most once in all rows, and every row closed under every mask;
+    anything else is refused with a ``ValueError``."""
+    rows = np.asarray(rows)
+    if rows.ndim < 1 or not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"rows must be an array of integer basis indices, got {rows!r}")
+    flat = rows.reshape(-1)
+    if flat.size and not (flat.min() >= 0 and flat.max() < 2**n):
+        raise ValueError(f"rows hold a basis index outside [0, 2^{n})")
+    # where[k], the place of index k in the flattened rows (-1 if absent)
+    where = np.full(2**n, -1, dtype=np.int64)
+    place = np.arange(flat.size)
+    where[flat] = place
+    d = max(rows.shape[-1], 1)
+    places = np.empty((len(x_masks), flat.size), dtype=np.int64)
+    for i, x_mask in enumerate(x_masks):
+        target = where[flat ^ x_mask]
+        if np.any(target // d != place // d):
+            raise ValueError(f"rows are not closed under the x mask {x_mask:#b}")
+        places[i] = target % d
+    if np.any(where[flat] != place):  # a repeat keeps only its last place
+        raise ValueError("rows hold a basis index more than once")
+    return places.reshape((len(x_masks),) + rows.shape)
+
+
 def to_matrix(op: PauliSum | PauliString, rows: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix ``M[..., a, b] = <rows[a]|op|rows[b]>`` of a Pauli sum or
     string, shape (..., d, d), on ``rows`` of shape (..., d): disjoint sets of
-    basis indices, each closed under the sum's x masks (cosets of their span).
-    The default, every index in order, is the full ``2^n x 2^n`` matrix.
+    distinct basis indices, each closed under the sum's x masks (cosets of
+    their span), as :func:`row_places` checks.  The default, every index in
+    order, is the full ``2^n x 2^n`` matrix.
 
     Guarded at ``n <= MATRIX_QUBIT_LIMIT``.  Each x block of the sum fills
     one permuted diagonal, ``M[pos[k ^ x], pos[k]] = d_x[k]`` with ``pos[k]``
-    the place of k in its row, so nothing larger than the result is made; a
-    row that is not closed under an x mask is refused.
+    the place of k in its row, so nothing larger than the result is made.
     """
     if isinstance(op, PauliString):
         op = PauliSum.from_terms([op])
     if op.n > MATRIX_QUBIT_LIMIT:
         raise CapacityError(op.n)
     rows = np.arange(2**op.n) if rows is None else np.asarray(rows)
+    blocks = x_blocks(op)
+    places = row_places(rows, op.n, [x for x, _ in blocks])
     flat = rows.reshape(-1, rows.shape[-1])
-    pos = np.zeros(2**op.n, dtype=np.int64)
-    pos[flat] = np.arange(flat.shape[1])
     out = np.zeros(flat.shape + flat.shape[-1:], dtype=complex)
-    for x_mask, d in x_blocks(op):
-        target = pos[flat ^ x_mask]
-        if np.any(np.take_along_axis(flat, target, axis=1) != flat ^ x_mask):
-            raise ValueError(f"rows are not closed under the x mask {x_mask:#b}")
-        np.put_along_axis(out, target[:, None], d[flat][:, None], axis=1)
+    for (_, d), target in zip(blocks, places):
+        np.put_along_axis(out, target.reshape(flat.shape)[:, None], d[flat][:, None], axis=1)
     return out.reshape(rows.shape + rows.shape[-1:])

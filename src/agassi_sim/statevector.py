@@ -24,7 +24,7 @@ import numpy as np
 
 from .checks import finite, real, same_qubits
 from .paulis import (MATRIX_QUBIT_LIMIT, CapacityError, PauliString, PauliSum, pauli_action,
-                     to_matrix, x_blocks, x_span)
+                     row_places, to_matrix, x_blocks, x_span)
 
 NORM_TOL = 1e-8
 UNITARITY_TOL = 1e-10
@@ -112,17 +112,19 @@ def basis_state(pattern) -> StateVector:
 
 
 @lru_cache(maxsize=16)
-def _rotation_groups(layer: tuple, n: int) -> tuple:
-    """The layer's groups as ``(x_masks, flip, w, size, coupling)``, one
-    row per group (arrays read-only).  A group is a run of consecutive
-    commuting strings with one x mask, so its product is the exponential of
-    its sum, the 2x2 block ``[[0, conj(w[k])], [w[k], 0]]`` on each pair
-    {k, k ^ x} with ``w = sum_s rate_s * phase_s``.  Over a step dt it maps
-    ``a[k]`` to ``cos(dt size[k]) a[k] + sin(dt size[k]) coupling[k] a[flip[k]]``
-    with ``flip[k] = k ^ x``, ``size = |w|`` and ``coupling[k] = -i w[k ^ x] /
-    |w[k ^ x]|``; for x = 0, w is real and this is ``exp(-i dt w[k]) a[k]``.
+def _rotation_groups(layer: tuple, n: int, rows: tuple | None) -> tuple:
+    """The layer's groups on ``rows`` (every index when None) as ``(x_masks,
+    flip, w, size, coupling)``, one row per group (arrays read-only).  A
+    group is a run of consecutive commuting strings with one x mask, so its
+    product is the exponential of its sum, the 2x2 block ``[[0, conj(w[k])],
+    [w[k], 0]]`` on each pair {k, k ^ x} with ``w = sum_s rate_s * phase_s``
+    (one row per rate of a batch).  Over a step dt it maps ``a[k]`` to
+    ``cos(dt size[k]) a[k] + sin(dt size[k]) coupling[k] a[flip[k]]`` with
+    ``flip[k]`` the place of ``k ^ x`` in rows (checked by ``row_places``),
+    ``size = |w|`` and ``coupling[k] = -i w[k ^ x] / |w[k ^ x]|``; for x = 0,
+    w is real and this is ``exp(-i dt w[k]) a[k]``.
     """
-    x_masks, members, rows = [], [], []
+    x_masks, members, owner = [], [], []
     for string, _ in layer:
         x_mask = pauli_action(string.letters)[0]
         if not (x_masks and x_masks[-1] == x_mask
@@ -130,44 +132,65 @@ def _rotation_groups(layer: tuple, n: int) -> tuple:
             x_masks.append(x_mask)
             members.append([])
         members[-1].append(string)
-        rows.append(len(x_masks) - 1)
-    w = np.zeros((len(x_masks), 2**n), dtype=complex)
-    terms = [rate * pauli_action(s.letters)[1] for s, rate in layer]
-    np.add.at(w, rows, np.reshape(terms, (len(terms), 2**n)))
-    flip = np.arange(2**n, dtype=np.int64) ^ np.array(x_masks, dtype=np.int64)[:, None]
+        owner.append(len(x_masks) - 1)
+    if rows is None:
+        index = slice(None)
+        flip = np.arange(2**n) ^ np.array(x_masks, dtype=np.int64)[:, None]
+    else:
+        index = np.array(rows)
+        flip = row_places(index, n, x_masks)
+    w = np.zeros((0, 1, flip.shape[-1]), dtype=complex)
+    if layer:  # each group's sum in layer order
+        rates = np.reshape([rate for _, rate in layer], (len(layer), -1, 1))
+        phases = np.array([pauli_action(s.letters)[1][index] for s, _ in layer])
+        w = np.zeros((len(x_masks), rates.shape[1], flip.shape[-1]), dtype=complex)
+        np.add.at(w, owner, rates * phases[:, None, :])
     size = np.abs(w)
     # numpy divides complex by 1/|w|, which overflows for subnormal |w|;
     # a rotation that small is the identity to double precision.
     unit = np.divide(w, size, out=np.zeros_like(w), where=size >= _TINY)
-    groups = (flip, w, size, -1j * np.take_along_axis(unit, flip, axis=1))
+    groups = (flip, w, size, -1j * np.take_along_axis(unit, flip[:, None, :], axis=2))
     for array in groups:
         array.setflags(write=False)
     return (tuple(x_masks), *groups)
 
 
-def rotation_steps(layer: tuple, n: int, dts: np.ndarray) -> tuple:
+def rotation_steps(layer: tuple, n: int, dts: np.ndarray, rows: np.ndarray | None = None) -> tuple:
     """The ``(flip, stay, swap)`` factors of a layer of ``(unit string, rate)``
     entries, the ordered product of ``exp(-i rate dt string)``, one row per dt.
 
     A group with x = 0 (a diagonal block or a global phase) is the phase
     ``exp(-i dt w)``; it folds into the group before it at no pass of its own.
+
+    ``rows`` (1-d) are the basis indices the factors act on, closed under the
+    layer's x masks, and ``flip`` holds places in it; the default is every
+    index.  A batch of P layers with one list of strings takes a tuple of P
+    rates per string and dts of shape (P, T); the factors then hold one row
+    per (layer, dt) pair, layer-major.
     """
-    x_masks, flip, w, size, coupling = _rotation_groups(layer, n)
+    dts = np.atleast_2d(dts)
+    if rows is not None and np.ndim(rows) != 1:
+        raise ValueError(f"rows must be one 1-d array of basis indices, got shape {np.shape(rows)}")
+    key = None if rows is None else tuple(np.asarray(rows).tolist())
+    x_masks, flip, w, size, coupling = _rotation_groups(layer, n, key)
+    d = flip.shape[-1]
+    angle = dts[:, :, None] * size[:, :, None, :]  # (groups, P, T, d)
+    stay = np.cos(angle).reshape(len(x_masks), dts.size, d)
+    swap = (np.sin(angle) * coupling[:, :, None, :]).reshape(len(x_masks), dts.size, d)
     steps = []
     for g, x_mask in enumerate(x_masks):
         if x_mask == 0:
-            phase = np.exp(-1j * (dts[:, None] * w[g].real))
+            phase = np.exp(-1j * (dts[:, :, None] * w[g].real[:, None, :])).reshape(-1, d)
             f, s, sw = steps.pop() if steps else (flip[g], 1.0, 0.0)
             steps.append((f, s * phase, sw * phase))
         else:
-            angle = dts[:, None] * size[g]
-            steps.append((flip[g], np.cos(angle), np.sin(angle) * coupling[g]))
+            steps.append((flip[g], stay[g], swap[g]))
     return tuple(steps)
 
 
 def apply_steps(amps: np.ndarray, steps, repeats: int = 1) -> np.ndarray:
     """Apply the factors of :func:`rotation_steps` in order, ``repeats``
-    times, to a batch of states of shape (rows, 2^n)."""
+    times, to a batch of states of shape (rows, d), d the factors' width."""
     for _ in range(repeats):
         for flip, stay, swap in steps:
             amps = stay * amps + swap * amps[:, flip]
@@ -212,12 +235,17 @@ class ExactPropagator:
         return StateVector(self.states_at(state, [t])[0], self.n)
 
     def states_at(self, state: StateVector, times: np.ndarray) -> np.ndarray:
-        """Amplitudes at many times, shape (len(times), 2^n)."""
+        """Amplitudes at many times, shape (len(times), 2^n).  Only the cosets
+        where the state has an amplitude are evolved; the others stay zero."""
         same_qubits(self.n, state.n)
-        coeffs = np.einsum("cij,ci->cj", self.eigenvectors.conj(), state.amplitudes[self.cosets])
-        states = spectral_states(self.eigenvalues, self.eigenvectors, coeffs,
-                                 np.ravel(finite(times, "times")))
-        return np.concatenate(states, axis=1)[:, np.argsort(self.cosets, axis=None)]
+        times = np.ravel(finite(times, "times"))
+        amps = state.amplitudes[self.cosets]
+        live = np.flatnonzero(np.any(amps != 0, axis=1))
+        coeffs = np.einsum("cij,ci->cj", self.eigenvectors[live].conj(), amps[live])
+        states = spectral_states(self.eigenvalues[live], self.eigenvectors[live], coeffs, times)
+        out = np.zeros((len(times), 2**self.n), dtype=complex)
+        out[:, self.cosets[live].ravel()] = np.concatenate(states, axis=1)
+        return out
 
 
 def spectral_states(eigenvalues: np.ndarray, eigenvectors: np.ndarray,

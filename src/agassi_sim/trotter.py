@@ -11,6 +11,13 @@ and shrinks like 1/n_T.  A step is one layer of the rotation kernel of
 :mod:`agassi_sim.statevector`: the eight strings share x mask 1111 and are
 one 2x2 rotation per index pair {k, k ^ 1111}, with the diagonal folded in.
 
+The public evolutions act on all 2^n amplitudes.  :func:`coset_steps` and
+:func:`coset_states` act only on given basis indices closed under the step's
+x masks, such as the initial state's coset of H's x-mask span (2 states
+at j = 1), and run a whole batch at once: the points of a
+:func:`step_layer`, each with its own step sizes.  Per index the arithmetic
+is that of the full-space evolution, so the results agree bitwise.
+
 Schedules are immutable and shareable; evolutions allocate fresh state.
 General j has no closed split and is not supported here.
 """
@@ -18,6 +25,8 @@ General j has no closed split and is not supported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -58,19 +67,18 @@ class TrotterSchedule:
         return self.t / self.n_T
 
 
+_UNIT_INTERACTION = tuple((PauliString(1.0, letters), -sign / 8)
+                          for letters, sign in INTERACTION_STRINGS)
+"""The interaction layer at g + V = 1, in listing order."""
+
+
 def build_schedule(params: ModelParams, t: float, n_T: int) -> TrotterSchedule:
     """Schedule for evolving to time t in n_T first-order steps (j = 1)."""
     if params.j != 1:
         raise NotImplementedError("digital schedules are implemented for j = 1 only")
     split = build_split_j1(params)
     strength = params.control
-    if strength == 0.0:
-        layer: tuple[tuple[PauliString, float], ...] = ()
-    else:
-        layer = tuple(
-            (PauliString(1.0, letters), -sign * strength / 8)
-            for letters, sign in INTERACTION_STRINGS
-        )
+    layer = () if strength == 0.0 else tuple((s, r * strength) for s, r in _UNIT_INTERACTION)
     return TrotterSchedule(
         diagonal_block=split.diagonal,
         interaction_layer=layer,
@@ -88,6 +96,46 @@ def _batched_schedule_steps(state: StateVector, schedule: TrotterSchedule,
     diagonal = tuple((t.unit(), t.coefficient.real) for t in schedule.diagonal_block.terms)
     steps = rotation_steps(schedule.interaction_layer + diagonal, state.n, dts)
     return apply_steps(state.amplitudes[None, :], steps, schedule.n_T)
+
+
+def step_layer(points: list[ModelParams]) -> tuple:
+    """One first-order step of each j = 1 point as one rotation layer of
+    ``(unit string, rates)`` entries, ``rates`` a tuple of one rate per
+    point: the interaction strings (none when every point has g + V = 0),
+    then the diagonal terms of h1 + h2 in canonical order, at rate 0 for a
+    point that has no such term.  For one point it is the step of that
+    point's schedule."""
+    controls = np.array([p.control for p in points])
+    diagonals = [build_split_j1(p).diagonal for p in points]
+    interaction = () if not controls.any() else tuple(
+        (s, tuple((r * controls).tolist())) for s, r in _UNIT_INTERACTION)
+    letters = sorted({t.letters for d in diagonals for t in d.terms})
+    diagonal = tuple((PauliString(1.0, a), tuple(d.coefficient(a).real for d in diagonals))
+                     for a in letters)
+    return interaction + diagonal
+
+
+def coset_steps(start: np.ndarray, rows: np.ndarray, layer: tuple,
+                dts: np.ndarray) -> Iterator[np.ndarray]:
+    """A state's amplitudes ``start`` on ``rows`` (1-d basis indices closed
+    under the step's x masks, 1111 and 0, outside which the state is zero)
+    under repeated steps of ``layer`` (from :func:`step_layer`), each point
+    with each of its step sizes ``dts`` (shape (points, sizes)): yields the
+    states after 1, 2, ... steps, shape (points, sizes, len(rows))."""
+    dts = finite(dts, "dts")
+    steps = rotation_steps(layer, 4, dts, rows)  # j = 1: four qubits
+    amps = np.broadcast_to(start, (dts.size, len(rows)))
+    while True:
+        amps = apply_steps(amps, steps)
+        yield amps.reshape(dts.shape + (len(rows),))
+
+
+def coset_states(start: np.ndarray, rows: np.ndarray, layer: tuple,
+                 times: np.ndarray, n_T: int) -> np.ndarray:
+    """The states of :func:`coset_steps` at ``times`` (points, T), each
+    reached in n_T steps of its own size: shape (points, T, len(rows))."""
+    dts = finite(times, "times") / integer(n_T, "n_T", 1)
+    return next(islice(coset_steps(start, rows, layer, dts), n_T - 1, None))
 
 
 def evolve_schedule(state: StateVector, schedule: TrotterSchedule) -> StateVector:

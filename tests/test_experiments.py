@@ -1,5 +1,6 @@
 """Experiment-runner tests: observables, amplitude extraction, CSV output, CLI."""
 
+import ast
 import json
 import os
 import subprocess
@@ -33,11 +34,11 @@ from agassi_sim.experiments import (
     survival_minimum,
     survival_series,
 )
-from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian
+from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian, critical_line
 from agassi_sim.paulis import CapacityError, PauliString, PauliSum, x_blocks, x_span
 from agassi_sim.statevector import (ExactPropagator, StateVector, basis_index, basis_state,
                                     expectation)
-from agassi_sim.trotter import trotter_states_at
+from agassi_sim.trotter import coset_steps, step_layer, trotter_evolve, trotter_states_at
 from conftest import dense_sum
 
 
@@ -396,6 +397,75 @@ class TestExactSeries:
                 make()
 
         assert traced_peak(refused) < 2e6
+
+
+class TestDigitalOnTheCoset:
+    """Every digital run evolves on the initial state's coset, batched over
+    its times, step sizes and sweep points, with the full-space arithmetic
+    entry by entry."""
+
+    @pytest.mark.parametrize("init,g,v", [("dduu", 1.0, 1.0), ("dudd", 0.4, 0.3),
+                                          ("dduu", 0.5, -0.5)])  # the last: g + V = 0
+    def test_series_equal_the_full_space_runs_bitwise(self, init, g, v):
+        given = dict(params=ModelParams(g=g, V=v), initial_state=init, samples=41, n_T=7,
+                     t_final=3.0)
+        cfg = ExperimentConfig("fidelity_vs_time", **given)
+        times = np.linspace(0.0, 3.0, 41)
+        initial, idx, exact = experiments._exact_states(cfg, times)
+        digital = trotter_states_at(initial, cfg.params, times, 7)[:, idx]
+        expected = np.abs(np.einsum("ki,ki->k", exact.conj(), digital)) ** 2
+        assert fidelity_time_series(cfg).values.tobytes() == expected.tobytes()
+        _, corr = correlation_series(ExperimentConfig("correlation", **given))
+        assert corr.values.tobytes() == experiments._corr_values(digital, initial, idx).tobytes()
+        steps, fids = fidelity_vs_steps(ExperimentConfig("fidelity_vs_nT", **given))
+        final = experiments._exact_states(cfg, np.array([3.0]))[2][0]
+        per_m = np.array([trotter_evolve(initial, cfg.params, 3.0, int(m)).amplitudes[idx]
+                          for m in steps])
+        assert fids.tobytes() == (np.abs(per_m @ final.conj()) ** 2).tobytes()
+
+    def test_digital_sweep_matches_a_per_point_full_space_search(self):
+        sweep = phase_sweep(ExperimentConfig("phase_sweep", n_T=5), trotterized=True)
+        assert len(sweep.control) == 101
+        initial, expected = basis_state("dduu"), []
+        for gv in sweep.control:
+            params = ModelParams(g=float(gv), V=float(gv))
+            states_at = partial(trotter_states_at, initial, params, n_T=5)
+            expected.append(reference_max(params, full_corr, states_at) if gv else 0.0)
+        assert np.max(np.abs(sweep.amplitude - expected)) < 1e-12
+        assert ([classify_amplitude(a) for a in sweep.amplitude]
+                == [classify_amplitude(a) for a in expected])
+        assert sweep.phase == tuple(critical_line(ModelParams(g=float(gv), V=float(gv)))
+                                    for gv in sweep.control)
+
+    def test_hundred_coset_steps_keep_norm_and_particle_number(self, rng):
+        # two cosets of the span {0, 1111}, with two and one particles
+        rows = np.array([basis_index(s) ^ x for s in ("dduu", "dudd") for x in (0, 0b1111)])
+        start = rng.normal(size=4) + 1j * rng.normal(size=4)
+        start /= np.linalg.norm(start)
+        number = dict(x_blocks(build_collective_ops(1)["Nop"]))[0].real[rows]
+        layer = step_layer([ModelParams(g=0.7, V=0.4), ModelParams(epsilon=0.8, g=-0.3, V=1.2)])
+        dts = np.array([[0.05, 0.3, 1.1], [0.2, -0.4, 2.0]])
+        taken = 0
+        for taken, states in enumerate(coset_steps(start, rows, layer, dts), 1):
+            prob = np.abs(states) ** 2
+            assert np.max(np.abs(prob.sum(axis=-1) - 1.0)) < 1e-12
+            assert np.max(np.abs(prob @ number - np.abs(start) ** 2 @ number)) < 1e-12
+            if taken == 100:
+                break
+        assert taken == 100
+
+    def test_experiments_evolve_no_digital_state_per_point_or_in_the_full_space(self):
+        """A guard in the style of the one on ``isfinite(``: experiments.py
+        reads no digital state on idx out of a full-space one and calls the
+        per-point full-space evolutions in no loop or comprehension."""
+        source = Path(experiments.__file__).read_text()
+        assert "[:, idx]" not in source
+        loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        per_point = {"trotter_states_at", "trotter_evolve", "evolve_schedule"}
+        looped = [node.lineno for loop in ast.walk(ast.parse(source)) if isinstance(loop, loops)
+                  for node in ast.walk(loop) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) in per_point]
+        assert looped == []
 
 
 class TestFidelitySeries:

@@ -265,6 +265,18 @@ class TestToMatrixOnRows:
             with pytest.raises(ValueError, match="not closed under the x mask 0b10"):
                 to_matrix(op, rows)
 
+    @pytest.mark.parametrize("op,rows", [(PauliSum.identity(1), [0, 0]), (pauli("ZZ"), [0, 3, 3]),
+                                         (pauli("XI"), [[0, 2], [0, 2]])])
+    def test_repeated_index_refused(self, op, rows):
+        # a repeat across rows can also read as an image outside its row
+        with pytest.raises(ValueError, match="more than once|not closed"):
+            to_matrix(op, rows)
+
+    @pytest.mark.parametrize("rows", [[-1], [2], [[0], [-2]]])
+    def test_index_outside_the_register_refused(self, rows):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^1\)"):
+            to_matrix(pauli("Z"), rows)
+
 
 class TestXSpan:
     def test_every_xor_once_zero_first(self):

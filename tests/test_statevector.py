@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agassi_sim import statevector
 from agassi_sim.model import ModelParams, build_hamiltonian
 from agassi_sim.paulis import CapacityError, PauliSum, pauli, pauli_action, to_matrix
 from agassi_sim.statevector import (
@@ -19,6 +20,7 @@ from agassi_sim.statevector import (
     expectation,
     fidelity,
     rotation_steps,
+    spectral_states,
 )
 
 
@@ -266,6 +268,34 @@ class TestCosetBlocks:
             assert np.abs(got - expected).max() < 1e-12
 
 
+class TestStatesAtSkipsEmptyCosets:
+    """``states_at`` evolves only the cosets where the state has an amplitude
+    and equals the evaluation of every coset value for value (only the sign
+    of some zeros outside those cosets differs)."""
+
+    @staticmethod
+    def every_coset(prop: ExactPropagator, state: StateVector, times: np.ndarray) -> np.ndarray:
+        coeffs = np.einsum("cij,ci->cj", prop.eigenvectors.conj(), state.amplitudes[prop.cosets])
+        states = spectral_states(prop.eigenvalues, prop.eigenvectors, coeffs, times)
+        return np.concatenate(states, axis=1)[:, np.argsort(prop.cosets, axis=None)]
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_basis_state_and_two_coset_superposition(self, j, monkeypatch):
+        prop = ExactPropagator(build_hamiltonian(ModelParams(g=0.3, V=0.2, j=j)))
+        n, times = 4 * j, np.linspace(0.0, 7.0, 41)
+        two = np.zeros(2**n, dtype=complex)
+        two[[prop.cosets[0, 0], prop.cosets[-1, -1]]] = [0.6, 0.8j]
+        evaluated = []
+        monkeypatch.setattr(statevector, "spectral_states",
+                            lambda values, *rest: evaluated.append(len(values))
+                            or spectral_states(values, *rest))
+        for state, live in ((basis_state("d" * 2 * j + "u" * 2 * j), 1), (StateVector(two, n), 2)):
+            got = prop.states_at(state, times)
+            assert evaluated.pop() == live
+            assert np.array_equal(got, self.every_coset(prop, state, times))
+            assert np.count_nonzero(np.any(got != 0, axis=0)) <= live * prop.cosets.shape[1]
+
+
 class TestObservables:
     def test_zz_on_reference(self):
         state = basis_state("dduu")
@@ -319,6 +349,39 @@ class TestRotationKernel:
                 step = dense_expm_hermitian(dense_string(string.letters), rate * dt) @ step
             expected = np.linalg.matrix_power(step, 3) @ amps
             assert np.max(np.abs(row - expected)) < 1e-12
+
+
+class TestRotationKernelOnRows:
+    """The kernel on given rows, batched over layers with one list of
+    strings, repeats the full-space arithmetic entry by entry."""
+
+    LETTERS = ["ZI", "XY", "YX", "IZ", "XY", "II"]  # x masks 0, 11, 11, 0, 11, 0
+
+    def test_rows_and_batches_match_the_full_space_kernel_bitwise(self, rng):
+        rates = rng.uniform(-2, 2, size=(len(self.LETTERS), 3))
+        dts = np.array([[0.0, 0.37, -1.1], [2.5, 0.1, 0.9], [1.7, -0.3, 0.05]])
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        for rows in (np.array([0, 3]), np.array([2, 1]), np.array([3, 1, 0, 2])):
+            layers = tuple((pauli(s), tuple(r)) for s, r in zip(self.LETTERS, rates))
+            batch = apply_steps(np.broadcast_to(amps[rows], (9, len(rows))),
+                                rotation_steps(layers, 2, dts, rows), repeats=4)
+            for p in range(3):
+                one = tuple((pauli(s), float(r)) for s, r in zip(self.LETTERS, rates[:, p]))
+                full = apply_steps(amps[None, :], rotation_steps(one, 2, dts[p]), repeats=4)
+                assert batch[3 * p:3 * p + 3].tobytes() == full[:, rows].tobytes()
+
+    @pytest.mark.parametrize("rows,message", [
+        ([0, 0, 3, 3], "more than once"),
+        ([-1, 2], "outside"),
+        ([0, 4], "outside"),
+        ([0, 1], "not closed under the x mask 0b11"),
+        ([[0, 3], [1, 2]], "1-d"),
+        ([0.0, 3.0], "integer"),
+    ])
+    def test_bad_rows_refused(self, rows, message):
+        layer = tuple((pauli(s), 0.5) for s in self.LETTERS)
+        with pytest.raises(ValueError, match=message):
+            rotation_steps(layer, 2, np.array([0.3]), np.array(rows))
 
 
 def site_by_site(letters: str, k: int) -> tuple[int, complex]:

@@ -28,8 +28,7 @@ state's coset of the XOR span of H's x masks (|dduu> and |uudd> at j = 1,
 2^(3j-2) states in general), which H never leaves; ``to_matrix`` builds the
 blocks on it from the Pauli terms, so the Hamiltonians of a chunk are one
 stack and one ``eigh``.  Every digital run evolves on the same coset, which
-the Trotter step never leaves either: the points of a chunk are one
-``trotter.step_layer`` and one batch of (points, times, coset) amplitudes.
+the Trotter step never leaves either, through ``trotter.coset_steps``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .ion_compiler import compile_schedule, count_gates, error_budget, sequence_
 from .model import ModelParams, _coupling_free_blocks, coupling_weights, critical_line
 from .paulis import MATRIX_QUBIT_LIMIT, CapacityError, to_matrix, x_blocks, x_span
 from .statevector import UNITARITY_TOL, StateVector, TimeSeries, basis_state, spectral_states
-from .trotter import build_schedule, coset_states, coset_steps, step_layer
+from .trotter import build_schedule, coset_states, coset_steps
 
 SATURATION_TOL = 1e-6
 """An amplitude within this distance of 1 counts as saturated (broken phase)."""
@@ -209,13 +208,6 @@ def _exact_states(cfg: ExperimentConfig, times: np.ndarray) -> tuple:
     return initial, idx, spectral_states(*spectra, times)[0]
 
 
-def _digital_states(cfg: ExperimentConfig, initial: StateVector, idx: np.ndarray,
-                    times: np.ndarray) -> np.ndarray:
-    """The digital states at cfg.n_T on idx at the given times, shape (len(times), d)."""
-    layer = step_layer([cfg.params])
-    return coset_states(initial.amplitudes[idx], idx, layer, times[None, :], cfg.n_T)[0]
-
-
 def _zoom_max(periods: np.ndarray, values_at: Callable) -> np.ndarray:
     """Per point, the maximum of ``values_at(rows, times)`` (one row of values
     per active point, times of shape (rows, samples)) over two periods: one
@@ -248,9 +240,9 @@ def _two_period_max(points: list[ModelParams], initial: StateVector, observable:
     state; ``states`` are amplitudes on ``idx``, the initial state's coset.
 
     Points go through :func:`_zoom_max` in chunks of at most SEARCH_AMPLITUDES
-    amplitudes per pass.  A chunk is one stack of coset blocks (exact) or one
-    :func:`trotter.step_layer` (digital), and each pass evolves its active
-    points as one (points, times, d) batch on idx."""
+    amplitudes per pass.  Exact states are one stack of coset blocks per
+    chunk; digital states are evolved per point on idx by
+    :func:`trotter.coset_states`."""
     best = np.empty(len(points))
     if not points:
         return best
@@ -264,11 +256,9 @@ def _two_period_max(points: list[ModelParams], initial: StateVector, observable:
             def states_at(rows, times):
                 return spectral_states(energies[rows], vectors[rows], coeffs[rows], times)
         else:
-            layer = step_layer(part)
-
             def states_at(rows, times):
-                active = tuple((string, tuple(rates[r] for r in rows)) for string, rates in layer)
-                return coset_states(initial.amplitudes[idx], idx, active, times, n_T)
+                return np.array([coset_states(initial.amplitudes[idx], idx, part[r], t, n_T)
+                                 for r, t in zip(rows, times)])
 
         best[start:start + chunk] = _zoom_max(
             np.array([rabi_period(p) for p in part]),
@@ -323,7 +313,7 @@ def fidelity_time_series(cfg: ExperimentConfig) -> TimeSeries:
     """Fidelity between exact and digital states on a uniform time grid."""
     times = np.linspace(0.0, default_t_final(cfg), cfg.samples)
     initial, idx, exact = _exact_states(cfg, times)
-    digital = _digital_states(cfg, initial, idx, times)
+    digital = coset_states(initial.amplitudes[idx], idx, cfg.params, times, cfg.n_T)
     return TimeSeries(times, np.abs(np.einsum("ki,ki->k", exact.conj(), digital)) ** 2)
 
 
@@ -333,9 +323,8 @@ def fidelity_vs_steps(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     initial, idx, exact = _exact_states(cfg, np.array([t_final]))
     steps = np.arange(1, cfg.n_T + 1)
     # one batch of every step size t_final / m, whose row m is read after m steps
-    batch = coset_steps(initial.amplitudes[idx], idx, step_layer([cfg.params]),
-                        t_final / steps[None, :])
-    digital = np.array([states[0, m] for m, states in zip(range(cfg.n_T), batch)])
+    batch = coset_steps(initial.amplitudes[idx], idx, cfg.params, t_final / steps)
+    digital = np.array([states[m] for m, states in zip(range(cfg.n_T), batch)])
     return steps, _survival_values(digital, exact[0])
 
 
@@ -354,7 +343,7 @@ def correlation_series(cfg: ExperimentConfig) -> tuple[TimeSeries, TimeSeries | 
     exact = TimeSeries(times, _corr_values(states, initial, idx))
     if not cfg.trotter:
         return exact, None
-    digital = _digital_states(cfg, initial, idx, times)
+    digital = coset_states(initial.amplitudes[idx], idx, cfg.params, times, cfg.n_T)
     return exact, TimeSeries(times, _corr_values(digital, initial, idx))
 
 

@@ -117,12 +117,12 @@ def _rotation_groups(layer: tuple, n: int, rows: tuple | None) -> tuple:
     flip, w, size, coupling)``, one row per group (arrays read-only).  A
     group is a run of consecutive commuting strings with one x mask, so its
     product is the exponential of its sum, the 2x2 block ``[[0, conj(w[k])],
-    [w[k], 0]]`` on each pair {k, k ^ x} with ``w = sum_s rate_s * phase_s``
-    (one row per rate of a batch).  Over a step dt it maps ``a[k]`` to
-    ``cos(dt size[k]) a[k] + sin(dt size[k]) coupling[k] a[flip[k]]`` with
-    ``flip[k]`` the place of ``k ^ x`` in rows (checked by ``row_places``),
-    ``size = |w|`` and ``coupling[k] = -i w[k ^ x] / |w[k ^ x]|``; for x = 0,
-    w is real and this is ``exp(-i dt w[k]) a[k]``.
+    [w[k], 0]]`` on each pair {k, k ^ x} with ``w = sum_s rate_s * phase_s``.
+    Over a step dt it maps ``a[k]`` to ``cos(dt size[k]) a[k] + sin(dt
+    size[k]) coupling[k] a[flip[k]]`` with ``flip[k]`` the place of ``k ^ x``
+    in rows (checked by ``row_places``), ``size = |w|`` and ``coupling[k] =
+    -i w[k ^ x] / |w[k ^ x]|``; for x = 0, w is real and this is ``exp(-i dt
+    w[k]) a[k]``.
     """
     x_masks, members, owner = [], [], []
     for string, _ in layer:
@@ -135,21 +135,18 @@ def _rotation_groups(layer: tuple, n: int, rows: tuple | None) -> tuple:
         owner.append(len(x_masks) - 1)
     if rows is None:
         index = slice(None)
-        flip = np.arange(2**n) ^ np.array(x_masks, dtype=np.int64)[:, None]
+        flip = np.arange(2**n, dtype=np.int64) ^ np.array(x_masks, dtype=np.int64)[:, None]
     else:
         index = np.array(rows)
         flip = row_places(index, n, x_masks)
-    w = np.zeros((0, 1, flip.shape[-1]), dtype=complex)
-    if layer:  # each group's sum in layer order
-        rates = np.reshape([rate for _, rate in layer], (len(layer), -1, 1))
-        phases = np.array([pauli_action(s.letters)[1][index] for s, _ in layer])
-        w = np.zeros((len(x_masks), rates.shape[1], flip.shape[-1]), dtype=complex)
-        np.add.at(w, owner, rates * phases[:, None, :])
+    w = np.zeros(flip.shape, dtype=complex)
+    terms = [rate * pauli_action(s.letters)[1][index] for s, rate in layer]
+    np.add.at(w, owner, np.reshape(terms, (len(terms), flip.shape[1])))
     size = np.abs(w)
     # numpy divides complex by 1/|w|, which overflows for subnormal |w|;
     # a rotation that small is the identity to double precision.
     unit = np.divide(w, size, out=np.zeros_like(w), where=size >= _TINY)
-    groups = (flip, w, size, -1j * np.take_along_axis(unit, flip[:, None, :], axis=2))
+    groups = (flip, w, size, -1j * np.take_along_axis(unit, flip, axis=1))
     for array in groups:
         array.setflags(write=False)
     return (tuple(x_masks), *groups)
@@ -164,27 +161,21 @@ def rotation_steps(layer: tuple, n: int, dts: np.ndarray, rows: np.ndarray | Non
 
     ``rows`` (1-d) are the basis indices the factors act on, closed under the
     layer's x masks, and ``flip`` holds places in it; the default is every
-    index.  A batch of P layers with one list of strings takes a tuple of P
-    rates per string and dts of shape (P, T); the factors then hold one row
-    per (layer, dt) pair, layer-major.
+    index.
     """
-    dts = np.atleast_2d(dts)
     if rows is not None and np.ndim(rows) != 1:
         raise ValueError(f"rows must be one 1-d array of basis indices, got shape {np.shape(rows)}")
     key = None if rows is None else tuple(np.asarray(rows).tolist())
     x_masks, flip, w, size, coupling = _rotation_groups(layer, n, key)
-    d = flip.shape[-1]
-    angle = dts[:, :, None] * size[:, :, None, :]  # (groups, P, T, d)
-    stay = np.cos(angle).reshape(len(x_masks), dts.size, d)
-    swap = (np.sin(angle) * coupling[:, :, None, :]).reshape(len(x_masks), dts.size, d)
     steps = []
     for g, x_mask in enumerate(x_masks):
         if x_mask == 0:
-            phase = np.exp(-1j * (dts[:, :, None] * w[g].real[:, None, :])).reshape(-1, d)
+            phase = np.exp(-1j * (dts[:, None] * w[g].real))
             f, s, sw = steps.pop() if steps else (flip[g], 1.0, 0.0)
             steps.append((f, s * phase, sw * phase))
         else:
-            steps.append((flip[g], stay[g], swap[g]))
+            angle = dts[:, None] * size[g]
+            steps.append((flip[g], np.cos(angle), np.sin(angle) * coupling[g]))
     return tuple(steps)
 
 

@@ -12,11 +12,10 @@ and shrinks like 1/n_T.  A step is one layer of the rotation kernel of
 one 2x2 rotation per index pair {k, k ^ 1111}, with the diagonal folded in.
 
 The public evolutions act on all 2^n amplitudes.  :func:`coset_steps` and
-:func:`coset_states` act only on given basis indices closed under the step's
-x masks, such as the initial state's coset of H's x-mask span (2 states
-at j = 1), and run a whole batch at once: the points of a
-:func:`step_layer`, each with its own step sizes.  Per index the arithmetic
-is that of the full-space evolution, so the results agree bitwise.
+:func:`coset_states` run the same step on given basis indices closed under
+its x masks (1111 and 0), such as the initial state's coset of H's x-mask
+span (2 states at j = 1), batched over step sizes.  Per index the
+arithmetic is that of the full-space evolution, so the results agree bitwise.
 
 Schedules are immutable and shareable; evolutions allocate fresh state.
 General j has no closed split and is not supported here.
@@ -66,10 +65,12 @@ class TrotterSchedule:
     def dt(self) -> float:
         return self.t / self.n_T
 
-
-_UNIT_INTERACTION = tuple((PauliString(1.0, letters), -sign / 8)
-                          for letters, sign in INTERACTION_STRINGS)
-"""The interaction layer at g + V = 1, in listing order."""
+    @property
+    def layer(self) -> tuple[tuple[PauliString, float], ...]:
+        """One step as one layer of the rotation kernel: the interaction
+        strings, then the diagonal terms."""
+        diagonal = tuple((t.unit(), t.coefficient.real) for t in self.diagonal_block.terms)
+        return self.interaction_layer + diagonal
 
 
 def build_schedule(params: ModelParams, t: float, n_T: int) -> TrotterSchedule:
@@ -78,7 +79,13 @@ def build_schedule(params: ModelParams, t: float, n_T: int) -> TrotterSchedule:
         raise NotImplementedError("digital schedules are implemented for j = 1 only")
     split = build_split_j1(params)
     strength = params.control
-    layer = () if strength == 0.0 else tuple((s, r * strength) for s, r in _UNIT_INTERACTION)
+    if strength == 0.0:
+        layer: tuple[tuple[PauliString, float], ...] = ()
+    else:
+        layer = tuple(
+            (PauliString(1.0, letters), -sign * strength / 8)
+            for letters, sign in INTERACTION_STRINGS
+        )
     return TrotterSchedule(
         diagonal_block=split.diagonal,
         interaction_layer=layer,
@@ -90,52 +97,32 @@ def build_schedule(params: ModelParams, t: float, n_T: int) -> TrotterSchedule:
 def _batched_schedule_steps(state: StateVector, schedule: TrotterSchedule,
                             dts: np.ndarray) -> np.ndarray:
     """The state after schedule.n_T steps of each size in dts, one row per
-    size, shape (len(dts), 2^n).  A step is the rotation layer of the
-    interaction strings followed by the diagonal terms."""
+    size, shape (len(dts), 2^n)."""
     same_qubits(schedule.diagonal_block.n, state.n)
-    diagonal = tuple((t.unit(), t.coefficient.real) for t in schedule.diagonal_block.terms)
-    steps = rotation_steps(schedule.interaction_layer + diagonal, state.n, dts)
+    steps = rotation_steps(schedule.layer, state.n, dts)
     return apply_steps(state.amplitudes[None, :], steps, schedule.n_T)
 
 
-def step_layer(points: list[ModelParams]) -> tuple:
-    """One first-order step of each j = 1 point as one rotation layer of
-    ``(unit string, rates)`` entries, ``rates`` a tuple of one rate per
-    point: the interaction strings (none when every point has g + V = 0),
-    then the diagonal terms of h1 + h2 in canonical order, at rate 0 for a
-    point that has no such term.  For one point it is the step of that
-    point's schedule."""
-    controls = np.array([p.control for p in points])
-    diagonals = [build_split_j1(p).diagonal for p in points]
-    interaction = () if not controls.any() else tuple(
-        (s, tuple((r * controls).tolist())) for s, r in _UNIT_INTERACTION)
-    letters = sorted({t.letters for d in diagonals for t in d.terms})
-    diagonal = tuple((PauliString(1.0, a), tuple(d.coefficient(a).real for d in diagonals))
-                     for a in letters)
-    return interaction + diagonal
-
-
-def coset_steps(start: np.ndarray, rows: np.ndarray, layer: tuple,
+def coset_steps(start: np.ndarray, rows: np.ndarray, params: ModelParams,
                 dts: np.ndarray) -> Iterator[np.ndarray]:
     """A state's amplitudes ``start`` on ``rows`` (1-d basis indices closed
-    under the step's x masks, 1111 and 0, outside which the state is zero)
-    under repeated steps of ``layer`` (from :func:`step_layer`), each point
-    with each of its step sizes ``dts`` (shape (points, sizes)): yields the
-    states after 1, 2, ... steps, shape (points, sizes, len(rows))."""
-    dts = finite(dts, "dts")
-    steps = rotation_steps(layer, 4, dts, rows)  # j = 1: four qubits
-    amps = np.broadcast_to(start, (dts.size, len(rows)))
+    under the step's x masks, outside which the state is zero) under repeated
+    steps of each size in dts: yields the states after 1, 2, ... steps, one
+    row per size, shape (len(dts), len(rows))."""
+    layer = build_schedule(params, 1.0, 1).layer
+    steps = rotation_steps(layer, params.n_qubits, finite(dts, "dts"), rows)
+    amps = np.broadcast_to(start, (len(dts), len(rows)))
     while True:
         amps = apply_steps(amps, steps)
-        yield amps.reshape(dts.shape + (len(rows),))
+        yield amps
 
 
-def coset_states(start: np.ndarray, rows: np.ndarray, layer: tuple,
+def coset_states(start: np.ndarray, rows: np.ndarray, params: ModelParams,
                  times: np.ndarray, n_T: int) -> np.ndarray:
-    """The states of :func:`coset_steps` at ``times`` (points, T), each
-    reached in n_T steps of its own size: shape (points, T, len(rows))."""
+    """The states of :func:`coset_steps` at many times, each reached in n_T
+    steps of its own size; shape (len(times), len(rows))."""
     dts = finite(times, "times") / integer(n_T, "n_T", 1)
-    return next(islice(coset_steps(start, rows, layer, dts), n_T - 1, None))
+    return next(islice(coset_steps(start, rows, params, dts), n_T - 1, None))
 
 
 def evolve_schedule(state: StateVector, schedule: TrotterSchedule) -> StateVector:

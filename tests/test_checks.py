@@ -15,7 +15,7 @@ from agassi_sim.ion_compiler import (MS, GateSequence, GlobalPhase, Rotation, co
 from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian
 from agassi_sim.paulis import pauli
 from agassi_sim.statevector import ExactPropagator, apply_pauli_exponential, basis_state
-from agassi_sim.trotter import (build_schedule, coset_states, evolve_schedule, step_layer,
+from agassi_sim.trotter import (build_schedule, coset_states, evolve_schedule,
                                 trotter_evolve, trotter_states_at)
 
 PARAMS = ModelParams(epsilon=1.0, g=0.5, V=0.5)
@@ -64,10 +64,10 @@ REFUSALS = {
     "simulate-8-on-4": (lambda: simulate_sequence(EIGHT_QUBITS, GateSequence(4, ())),
                         "^qubit counts differ: 4 vs 8"),
     "coset-states-nan-time": (
-        lambda: coset_states(*COSET, step_layer([PARAMS]), [[0.5, np.nan]], 2),
+        lambda: coset_states(*COSET, PARAMS, [0.5, np.nan], 2),
         "^times must be finite"),
     "coset-states-float-steps": (
-        lambda: coset_states(*COSET, step_layer([PARAMS]), [[0.5]], 2.0),
+        lambda: coset_states(*COSET, PARAMS, [0.5], 2.0),
         "^n_T must be an integer"),
 }
 

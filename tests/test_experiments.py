@@ -38,7 +38,7 @@ from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonia
 from agassi_sim.paulis import CapacityError, PauliString, PauliSum, x_blocks, x_span
 from agassi_sim.statevector import (ExactPropagator, StateVector, basis_index, basis_state,
                                     expectation)
-from agassi_sim.trotter import coset_steps, step_layer, trotter_evolve, trotter_states_at
+from agassi_sim.trotter import coset_steps, trotter_evolve, trotter_states_at
 from conftest import dense_sum
 
 
@@ -401,8 +401,7 @@ class TestExactSeries:
 
 class TestDigitalOnTheCoset:
     """Every digital run evolves on the initial state's coset, batched over
-    its times, step sizes and sweep points, with the full-space arithmetic
-    entry by entry."""
+    its times or step sizes, with the full-space arithmetic entry by entry."""
 
     @pytest.mark.parametrize("init,g,v", [("dduu", 1.0, 1.0), ("dudd", 0.4, 0.3),
                                           ("dduu", 0.5, -0.5)])  # the last: g + V = 0
@@ -443,16 +442,16 @@ class TestDigitalOnTheCoset:
         start = rng.normal(size=4) + 1j * rng.normal(size=4)
         start /= np.linalg.norm(start)
         number = dict(x_blocks(build_collective_ops(1)["Nop"]))[0].real[rows]
-        layer = step_layer([ModelParams(g=0.7, V=0.4), ModelParams(epsilon=0.8, g=-0.3, V=1.2)])
-        dts = np.array([[0.05, 0.3, 1.1], [0.2, -0.4, 2.0]])
-        taken = 0
-        for taken, states in enumerate(coset_steps(start, rows, layer, dts), 1):
-            prob = np.abs(states) ** 2
-            assert np.max(np.abs(prob.sum(axis=-1) - 1.0)) < 1e-12
-            assert np.max(np.abs(prob @ number - np.abs(start) ** 2 @ number)) < 1e-12
-            if taken == 100:
-                break
-        assert taken == 100
+        dts = np.array([0.05, 0.3, -0.4, 1.1, 2.0])
+        for params in (ModelParams(g=0.7, V=0.4), ModelParams(epsilon=0.8, g=-0.3, V=1.2)):
+            taken = 0
+            for taken, states in enumerate(coset_steps(start, rows, params, dts), 1):
+                prob = np.abs(states) ** 2
+                assert np.max(np.abs(prob.sum(axis=-1) - 1.0)) < 1e-12
+                assert np.max(np.abs(prob @ number - np.abs(start) ** 2 @ number)) < 1e-12
+                if taken == 100:
+                    break
+            assert taken == 100
 
     def test_experiments_evolve_no_digital_state_per_point_or_in_the_full_space(self):
         """A guard in the style of the one on ``isfinite(``: experiments.py

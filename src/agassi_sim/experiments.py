@@ -38,7 +38,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -358,11 +358,11 @@ def phase_sweep(cfg: ExperimentConfig, *, trotterized: bool = False) -> SweepRes
                        phase=tuple(critical_line(p) for p in points))
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) if not isinstance(x, str) else x for x in row) + "\n")
+def _write_csv(path: Path, header: tuple[str, ...], columns) -> None:
+    """One line per row; ``str`` of a Python float is its ``repr``, full
+    double precision."""
+    cells = zip(*(map(str, np.asarray(column).tolist()) for column in columns))
+    path.write_text("".join(",".join(row) + "\n" for row in (header, *cells)))
 
 
 def _write_manifest(path: Path, cfg: ExperimentConfig, outputs: list[Path],
@@ -421,48 +421,40 @@ def compile_report_text(cfg: ExperimentConfig) -> tuple[str, str]:
     return "\n".join(lines) + "\n", sequence_to_text(sequence)
 
 
-def _time_rows(cfg: ExperimentConfig, series: TimeSeries, *extra) -> Iterable[tuple]:
-    """Rows ``(t, (g+V) t, value, *extra)`` of a time series."""
-    gv = cfg.params.control
-    return ((t, gv * t, v, *rest) for t, v, *rest in zip(series.times, series.values, *extra))
-
-
-def _correlation_rows(cfg: ExperimentConfig) -> Iterable[tuple]:
-    exact, digital = correlation_series(cfg)
-    digital_values = digital.values if digital is not None else np.full(len(exact), np.nan)
-    return _time_rows(cfg, exact, digital_values)
-
-
-def _sweep_rows(cfg: ExperimentConfig) -> Iterable[tuple]:
-    sweep = phase_sweep(cfg)
-    return zip(sweep.control, sweep.amplitude, sweep.phase)
+def _series_columns(cfg: ExperimentConfig, *series: TimeSeries | None) -> tuple:
+    """Columns ``t``, ``(g+V) t`` and the values of each series on one time
+    grid; a missing series is a column of NaN."""
+    times = series[0].times
+    return (times, cfg.params.control * times,
+            *(s.values if s is not None else np.full(len(times), np.nan) for s in series))
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: its CLI subcommand, its CSV columns and ``rows(cfg)``,
-    which computes it before it returns (so a refused run writes nothing) and
-    yields the CSV rows.  The compile report writes a text report and a gate
+    """One experiment: its CLI subcommand, its CSV header and ``data(cfg)``,
+    which computes it and returns one array per CSV column (so a refused run
+    writes nothing).  The compile report writes a text report and a gate
     file instead, and has no columns."""
 
     command: str
     columns: tuple[str, ...] = ()
-    rows: Callable[[ExperimentConfig], Iterable[tuple]] | None = None
+    data: Callable[[ExperimentConfig], tuple] | None = None
 
 
 EXPERIMENTS: dict[str, Experiment] = {
     "fidelity_vs_time": Experiment(
         "fidelity-time", ("t", "gvt", "fidelity"),
-        lambda cfg: _time_rows(cfg, fidelity_time_series(cfg))),
-    "fidelity_vs_nT": Experiment(
-        "fidelity-steps", ("n_T", "fidelity"),
-        lambda cfg: ((f"{int(m)}", v) for m, v in zip(*fidelity_vs_steps(cfg)))),
+        lambda cfg: _series_columns(cfg, fidelity_time_series(cfg))),
+    "fidelity_vs_nT": Experiment("fidelity-steps", ("n_T", "fidelity"), fidelity_vs_steps),
     "survival": Experiment(
         "survival", ("t", "gvt", "survival"),
-        lambda cfg: _time_rows(cfg, survival_series(cfg))),
+        lambda cfg: _series_columns(cfg, survival_series(cfg))),
     "correlation": Experiment(
-        "correlation", ("t", "gvt", "corr_exact", "corr_trotter"), _correlation_rows),
-    "phase_sweep": Experiment("phase-sweep", ("g_eq_v", "amplitude", "phase"), _sweep_rows),
+        "correlation", ("t", "gvt", "corr_exact", "corr_trotter"),
+        lambda cfg: _series_columns(cfg, *correlation_series(cfg))),
+    "phase_sweep": Experiment(
+        "phase-sweep", ("g_eq_v", "amplitude", "phase"),
+        lambda cfg: tuple(vars(phase_sweep(cfg)).values())),  # its fields are the columns
     "compile_report": Experiment("compile-report"),
 }
 
@@ -481,9 +473,9 @@ def run(cfg: ExperimentConfig) -> list[Path]:
     # each branch computes its result before creating the output directory,
     # so a refused run leaves nothing behind
     if experiment.columns:
-        rows = experiment.rows(cfg)
+        columns = experiment.data(cfg)
         out.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(out, experiment.columns, rows)
+        _write_csv(out, experiment.columns, columns)
         outputs = [out]
     else:
         report, program = compile_report_text(cfg)

@@ -350,6 +350,8 @@ def row_places(rows: np.ndarray, n: int, x_masks) -> np.ndarray:
     where = np.full(2**n, -1, dtype=np.int64)
     place = np.arange(flat.size)
     where[flat] = place
+    if np.any(where[flat] != place):  # a repeat keeps only its last place
+        raise ValueError("rows hold a basis index more than once")
     d = max(rows.shape[-1], 1)
     places = np.empty((len(x_masks), flat.size), dtype=np.int64)
     for i, x_mask in enumerate(x_masks):
@@ -357,8 +359,6 @@ def row_places(rows: np.ndarray, n: int, x_masks) -> np.ndarray:
         if np.any(target // d != place // d):
             raise ValueError(f"rows are not closed under the x mask {x_mask:#b}")
         places[i] = target % d
-    if np.any(where[flat] != place):  # a repeat keeps only its last place
-        raise ValueError("rows hold a basis index more than once")
     return places.reshape((len(x_masks),) + rows.shape)
 
 

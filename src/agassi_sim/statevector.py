@@ -112,20 +112,18 @@ def basis_state(pattern) -> StateVector:
 
 
 @lru_cache(maxsize=16)
-def _rotation_groups(layer: tuple, n: int, rows: tuple | None) -> tuple:
-    """The layer's groups on ``rows`` (every index when None) as ``(x_masks,
-    flip, w, size, coupling)``, one row per group (arrays read-only).  A
-    group is a run of consecutive commuting strings with one x mask, so its
-    product is the exponential of its sum, the 2x2 block ``[[0, conj(w[k])],
-    [w[k], 0]]`` on each pair {k, k ^ x} with ``w = sum_s rate_s * phase_s``.
-    Over a step dt it maps ``a[k]`` to ``cos(dt size[k]) a[k] + sin(dt
-    size[k]) coupling[k] a[flip[k]]`` with ``flip[k]`` the place of ``k ^ x``
-    in rows (checked by ``row_places``), ``size = |w|`` and ``coupling[k] =
-    -i w[k ^ x] / |w[k ^ x]|``; for x = 0, w is real and this is ``exp(-i dt
-    w[k]) a[k]``.
+def _rotation_groups(strings: tuple, n: int, rows: tuple | None) -> tuple:
+    """What a layer's factors need of its unit strings on ``rows`` (every
+    index when None), not of its rates: ``(x_masks, owner, flip, phases)``
+    (arrays read-only).  A group is a run of consecutive commuting strings
+    with one x mask, so its product is the exponential of its sum;
+    ``owner[s]`` is the group of string s, ``flip[g, k]`` the place of ``k ^
+    x_masks[g]`` in rows (checked by ``row_places``) and ``phases[s, k]``
+    string s's phase at ``rows[k]``.  Every layer with these strings, at any
+    rates, shares one entry.
     """
     x_masks, members, owner = [], [], []
-    for string, _ in layer:
+    for string in strings:
         x_mask = pauli_action(string.letters)[0]
         if not (x_masks and x_masks[-1] == x_mask
                 and all(string.commutes_with(s) for s in members[-1])):
@@ -133,40 +131,46 @@ def _rotation_groups(layer: tuple, n: int, rows: tuple | None) -> tuple:
             members.append([])
         members[-1].append(string)
         owner.append(len(x_masks) - 1)
-    if rows is None:
-        index = slice(None)
-        flip = np.arange(2**n, dtype=np.int64) ^ np.array(x_masks, dtype=np.int64)[:, None]
-    else:
-        index = np.array(rows)
-        flip = row_places(index, n, x_masks)
-    w = np.zeros(flip.shape, dtype=complex)
-    terms = [rate * pauli_action(s.letters)[1][index] for s, rate in layer]
-    np.add.at(w, owner, np.reshape(terms, (len(terms), flip.shape[1])))
-    size = np.abs(w)
-    # numpy divides complex by 1/|w|, which overflows for subnormal |w|;
-    # a rotation that small is the identity to double precision.
-    unit = np.divide(w, size, out=np.zeros_like(w), where=size >= _TINY)
-    groups = (flip, w, size, -1j * np.take_along_axis(unit, flip, axis=1))
-    for array in groups:
+    index = np.arange(2**n) if rows is None else np.array(rows, dtype=np.int64)
+    flip = row_places(index, n, x_masks)
+    phases = np.array([pauli_action(s.letters)[1] for s in strings]).reshape(-1, 2**n)[:, index]
+    owner = np.array(owner, dtype=np.intp)
+    for array in (owner, flip, phases):
         array.setflags(write=False)
-    return (tuple(x_masks), *groups)
+    return tuple(x_masks), owner, flip, phases
 
 
 def rotation_steps(layer: tuple, n: int, dts: np.ndarray, rows: np.ndarray | None = None) -> tuple:
     """The ``(flip, stay, swap)`` factors of a layer of ``(unit string, rate)``
     entries, the ordered product of ``exp(-i rate dt string)``, one row per dt.
 
-    A group with x = 0 (a diagonal block or a global phase) is the phase
-    ``exp(-i dt w)``; it folds into the group before it at no pass of its own.
+    Each group of :func:`_rotation_groups` is the 2x2 block ``[[0,
+    conj(w[k])], [w[k], 0]]`` on each pair {k, k ^ x}, with ``w = sum_s rate_s
+    * phase_s`` weighed here on every call.  Over a step dt it maps ``a[k]``
+    to ``cos(dt size[k]) a[k] + sin(dt size[k]) coupling[k] a[flip[k]]`` with
+    ``size = |w|`` and ``coupling[k] = -i w[k ^ x] / |w[k ^ x]|``.  A group
+    with x = 0 (a diagonal block or a global phase) has a real w and is the
+    phase ``exp(-i dt w)``; it folds into the group before it at no pass of
+    its own.
 
-    ``rows`` (1-d) are the basis indices the factors act on, closed under the
-    layer's x masks, and ``flip`` holds places in it; the default is every
-    index.
+    ``rows`` (1-d integers) are the basis indices the factors act on, closed
+    under the layer's x masks, and ``flip`` holds places in it; the default
+    is every index.
     """
-    if rows is not None and np.ndim(rows) != 1:
-        raise ValueError(f"rows must be one 1-d array of basis indices, got shape {np.shape(rows)}")
-    key = None if rows is None else tuple(np.asarray(rows).tolist())
-    x_masks, flip, w, size, coupling = _rotation_groups(layer, n, key)
+    if rows is not None:
+        rows = np.asarray(rows)
+        # before the cache lookup: float rows would hit the entry of equal integers
+        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"rows must be a 1-d array of integer basis indices, got {rows!r}")
+        rows = tuple(rows.tolist())
+    x_masks, owner, flip, phases = _rotation_groups(tuple(s for s, _ in layer), n, rows)
+    w = np.zeros(flip.shape, dtype=complex)
+    np.add.at(w, owner, np.array([rate for _, rate in layer])[:, None] * phases)
+    size = np.abs(w)
+    # numpy divides complex by 1/|w|, which overflows for subnormal |w|;
+    # a rotation that small is the identity to double precision.
+    unit = np.divide(w, size, out=np.zeros_like(w), where=size >= _TINY)
+    coupling = -1j * np.take_along_axis(unit, flip, axis=1)
     steps = []
     for g, x_mask in enumerate(x_masks):
         if x_mask == 0:

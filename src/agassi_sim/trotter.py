@@ -11,11 +11,14 @@ and shrinks like 1/n_T.  A step is one layer of the rotation kernel of
 :mod:`agassi_sim.statevector`: the eight strings share x mask 1111 and are
 one 2x2 rotation per index pair {k, k ^ 1111}, with the diagonal folded in.
 
-The public evolutions act on all 2^n amplitudes.  :func:`coset_steps` and
-:func:`coset_states` run the same step on given basis indices closed under
-its x masks (1111 and 0), such as the initial state's coset of H's x-mask
-span (2 states at j = 1), batched over step sizes.  Per index the
-arithmetic is that of the full-space evolution, so the results agree bitwise.
+Every digital run steps through :func:`coset_steps` and
+:func:`coset_states`: the step on given basis indices closed under its x
+masks (1111 and 0), such as the initial state's coset of H's x-mask span (2
+states at j = 1), or on every index (rows None), batched over step sizes.
+Per index the arithmetic is that of the full-space evolution, so the
+results agree bitwise.  The public :func:`trotter_states_at` is
+:func:`coset_states` on every index; :func:`evolve_schedule` (behind
+:func:`trotter_evolve`) runs a schedule's own layer through the same kernel.
 
 Schedules are immutable and shareable; evolutions allocate fresh state.
 General j has no closed split and is not supported here.
@@ -94,30 +97,25 @@ def build_schedule(params: ModelParams, t: float, n_T: int) -> TrotterSchedule:
     )
 
 
-def _batched_schedule_steps(state: StateVector, schedule: TrotterSchedule,
-                            dts: np.ndarray) -> np.ndarray:
-    """The state after schedule.n_T steps of each size in dts, one row per
-    size, shape (len(dts), 2^n)."""
-    same_qubits(schedule.diagonal_block.n, state.n)
-    steps = rotation_steps(schedule.layer, state.n, dts)
-    return apply_steps(state.amplitudes[None, :], steps, schedule.n_T)
-
-
-def coset_steps(start: np.ndarray, rows: np.ndarray, params: ModelParams,
+def coset_steps(start: np.ndarray, rows: np.ndarray | None, params: ModelParams,
                 dts: np.ndarray) -> Iterator[np.ndarray]:
     """A state's amplitudes ``start`` on ``rows`` (1-d basis indices closed
-    under the step's x masks, outside which the state is zero) under repeated
-    steps of each size in dts: yields the states after 1, 2, ... steps, one
-    row per size, shape (len(dts), len(rows))."""
+    under the step's x masks, outside which the state is zero; None for
+    every index) under repeated steps of each size in dts: yields the states
+    after 1, 2, ... steps, one row per size, shape (len(dts), len(rows))."""
     layer = build_schedule(params, 1.0, 1).layer
     steps = rotation_steps(layer, params.n_qubits, finite(dts, "dts"), rows)
-    amps = np.broadcast_to(start, (len(dts), len(rows)))
+    width = 2**params.n_qubits if rows is None else len(rows)
+    if np.shape(start) != (width,):
+        raise ValueError(f"start must hold {width} amplitudes, one per row, "
+                         f"got shape {np.shape(start)}")
+    amps = np.broadcast_to(start, (len(dts), width))
     while True:
         amps = apply_steps(amps, steps)
         yield amps
 
 
-def coset_states(start: np.ndarray, rows: np.ndarray, params: ModelParams,
+def coset_states(start: np.ndarray, rows: np.ndarray | None, params: ModelParams,
                  times: np.ndarray, n_T: int) -> np.ndarray:
     """The states of :func:`coset_steps` at many times, each reached in n_T
     steps of its own size; shape (len(times), len(rows))."""
@@ -127,7 +125,9 @@ def coset_states(start: np.ndarray, rows: np.ndarray, params: ModelParams,
 
 def evolve_schedule(state: StateVector, schedule: TrotterSchedule) -> StateVector:
     """Apply every step of a schedule to a state."""
-    return StateVector(_batched_schedule_steps(state, schedule, np.array([schedule.dt]))[0], state.n)
+    same_qubits(schedule.diagonal_block.n, state.n)
+    steps = rotation_steps(schedule.layer, state.n, np.array([schedule.dt]))
+    return StateVector(apply_steps(state.amplitudes[None, :], steps, schedule.n_T)[0], state.n)
 
 
 def trotter_evolve(state: StateVector, params: ModelParams, t: float, n_T: int) -> StateVector:
@@ -139,9 +139,10 @@ def trotter_states_at(state: StateVector, params: ModelParams,
                       times: np.ndarray, n_T: int) -> np.ndarray:
     """Digital states at many times, each reached in n_T steps of its own
     size; shape (len(times), 2^n).  The per-time results are identical to
-    ``trotter_evolve`` but the grid is advanced as one batch."""
-    schedule = build_schedule(params, 1.0, n_T)
-    return _batched_schedule_steps(state, schedule, finite(times, "times") / n_T)
+    ``trotter_evolve`` but the grid is advanced as one batch, by
+    :func:`coset_states` on every index."""
+    same_qubits(params.n_qubits, state.n)
+    return coset_states(state.amplitudes, None, params, times, n_T)
 
 
 def digital_error(state: StateVector, params: ModelParams, t: float, n_T: int) -> float:

@@ -69,6 +69,12 @@ REFUSALS = {
     "coset-states-float-steps": (
         lambda: coset_states(*COSET, PARAMS, [0.5], 2.0),
         "^n_T must be an integer"),
+    "coset-states-short-start": (
+        lambda: coset_states(np.ones(3) / np.sqrt(3), COSET[1], PARAMS, [0.5], 2),
+        r"^start must hold 2 amplitudes, one per row, got shape \(3,\)"),
+    "coset-states-start-on-every-index": (
+        lambda: coset_states(COSET[0], None, PARAMS, [0.5], 2),
+        r"^start must hold 16 amplitudes, one per row, got shape \(2,\)"),
 }
 
 

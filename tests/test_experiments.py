@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import agassi_sim
-from agassi_sim import experiments
+from agassi_sim import experiments, statevector
 from agassi_sim.cli import main as cli_main
 from agassi_sim.experiments import (
     EXPERIMENTS,
@@ -435,6 +435,13 @@ class TestDigitalOnTheCoset:
                 == [classify_amplitude(a) for a in expected])
         assert sweep.phase == tuple(critical_line(ModelParams(g=float(gv), V=float(gv)))
                                     for gv in sweep.control)
+
+    def test_digital_sweep_groups_its_strings_once(self):
+        # the kernel caches by strings, not rates: one entry for every point,
+        # plus g = epsilon, where h1's upper terms vanish and the strings change
+        statevector._rotation_groups.cache_clear()
+        phase_sweep(ExperimentConfig("phase_sweep", n_T=5), trotterized=True)
+        assert statevector._rotation_groups.cache_info().misses <= 2
 
     def test_hundred_coset_steps_keep_norm_and_particle_number(self, rng):
         # two cosets of the span {0, 1111}, with two and one particles

@@ -261,15 +261,16 @@ class TestToMatrixOnRows:
         op = PauliSum.from_terms([pauli("XI"), pauli("ZZ", 0.5)])
         assert np.allclose(to_matrix(op, [[0, 2], [1, 3]]), [[[0.5, 1], [1, -0.5]],
                                                                [[-0.5, 1], [1, 0.5]]])
-        for rows in ([0, 1], [[0, 2], [1, 2]], [[0, 1], [2, 3]]):
+        for rows in ([0, 1], [[0, 1], [2, 3]]):
             with pytest.raises(ValueError, match="not closed under the x mask 0b10"):
                 to_matrix(op, rows)
 
     @pytest.mark.parametrize("op,rows", [(PauliSum.identity(1), [0, 0]), (pauli("ZZ"), [0, 3, 3]),
-                                         (pauli("XI"), [[0, 2], [0, 2]])])
+                                         (pauli("XI"), [[0, 2], [0, 2]]),
+                                         (pauli("XI"), [[0, 2], [1, 2]])])
     def test_repeated_index_refused(self, op, rows):
-        # a repeat across rows can also read as an image outside its row
-        with pytest.raises(ValueError, match="more than once|not closed"):
+        # repeats are found before closure, so a repeat across rows is named
+        with pytest.raises(ValueError, match="more than once"):
             to_matrix(op, rows)
 
     @pytest.mark.parametrize("rows", [[-1], [2], [[0], [-2]]])

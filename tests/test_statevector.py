@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from agassi_sim import statevector
 from agassi_sim.model import ModelParams, build_hamiltonian
-from agassi_sim.paulis import CapacityError, PauliSum, pauli, pauli_action, to_matrix
+from agassi_sim.paulis import CapacityError, PauliSum, pauli, pauli_action, to_matrix, x_span
 from agassi_sim.statevector import (
     ExactPropagator,
     StateVector,
@@ -379,6 +379,50 @@ class TestRotationKernelOnRows:
         layer = tuple((pauli(s), 0.5) for s in self.LETTERS)
         with pytest.raises(ValueError, match=message):
             rotation_steps(layer, 2, np.array([0.3]), np.array(rows))
+
+    def test_float_rows_refused_after_equal_integer_rows(self):
+        # the dtype is checked before the cache lookup, where (0.0, 3.0) == (0, 3)
+        layer = tuple((pauli(s), 0.5) for s in self.LETTERS)
+        rotation_steps(layer, 2, np.array([0.3]), np.array([0, 3]))
+        with pytest.raises(ValueError, match="integer"):
+            rotation_steps(layer, 2, np.array([0.3]), np.array([0.0, 3.0]))
+
+
+def _layers(n: int):
+    """Two layers on the same random strings, with independent random rates."""
+    entry = st.tuples(st.text("IXYZ", min_size=n, max_size=n), st.floats(-3, 3), st.floats(-3, 3))
+    return st.tuples(st.just(n), st.lists(entry, min_size=1, max_size=6))
+
+
+class TestRotationKernelCache:
+    """The kernel caches what a layer's strings and rows fix, not its rates."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4).flatmap(_layers), st.integers(0, 2**16))
+    def test_hit_at_other_rates_equals_a_fresh_miss_and_rows_the_full_space(self, layers, seed):
+        n, entries = layers
+        strings = [pauli(letters) for letters, _, _ in entries]
+        old = tuple(zip(strings, (a for _, a, _ in entries)))
+        new = tuple(zip(strings, (b for _, _, b in entries)))
+        dts = np.array([0.0, 0.37, -1.1])
+        rng = np.random.default_rng(seed)
+        rows = rng.permutation(int(rng.integers(2**n)) ^ x_span(
+            [pauli_action(s.letters)[0] for s in strings]))
+
+        def factors(steps):
+            return [np.asarray(f).tobytes() for step in steps for f in step]
+
+        for on in (None, rows):
+            statevector._rotation_groups.cache_clear()
+            fresh = rotation_steps(new, n, dts, on)
+            rotation_steps(old, n, dts, on)
+            assert factors(rotation_steps(new, n, dts, on)) == factors(fresh)
+            assert statevector._rotation_groups.cache_info().misses == 1
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        full = apply_steps(amps[None, :], rotation_steps(new, n, dts), repeats=2)
+        on_rows = apply_steps(np.broadcast_to(amps[rows], (len(dts), len(rows))),
+                              rotation_steps(new, n, dts, rows), repeats=2)
+        assert on_rows.tobytes() == full[:, rows].tobytes()
 
 
 def site_by_site(letters: str, k: int) -> tuple[int, complex]:

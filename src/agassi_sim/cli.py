@@ -2,7 +2,9 @@
 
 Subcommands map one-to-one onto the experiments; shared flags configure the
 model and grids.  A YAML config file may supply any value, with command-line
-flags taking precedence, e.g.::
+flags taking precedence; yaml is imported only when ``--config`` is given,
+so importing this module and every run without a config file leave it
+unloaded.  For example::
 
     agassi-sim correlation --g 0.5 --v 1 --nt 5 --out corr.csv
     agassi-sim phase-sweep --config sweep.yaml --out sweep.csv
@@ -17,8 +19,6 @@ import sys
 from collections import namedtuple
 from dataclasses import fields
 from pathlib import Path
-
-import yaml
 
 from .checks import boolean, integer, real, text
 from .experiments import EXPERIMENTS, ExperimentConfig, run
@@ -67,26 +67,31 @@ _SWEEP_KEYS = frozenset(_SWEEP_ALIAS) | frozenset(_SWEEP_ALIAS.values())
 _FLAG_TYPE = {real: float, _integer: int, text: str}
 
 
-class _Loader(yaml.SafeLoader):
-    """Safe loader that reads ``1e-4`` as a float, as YAML 1.2 does (YAML 1.1
-    needs a dot in the mantissa and would read it as a string), and refuses
-    a mapping that gives a key twice instead of keeping the last value."""
+@functools.cache
+def _yaml_loader() -> type:
+    """The config file's loader, built on first use, so that a run without
+    ``--config`` never imports yaml.  A safe loader that reads ``1e-4`` as a
+    float, as YAML 1.2 does (YAML 1.1 needs a dot in the mantissa and would
+    read it as a string), and refuses a mapping that gives a key twice
+    instead of keeping the last value."""
+    import yaml
 
-    def construct_mapping(self, node, deep=False):
-        keys = [self.construct_object(k, deep=deep) for k, _ in node.value
-                if k.tag != "tag:yaml.org,2002:merge"]
-        repeated = sorted({str(k) for k in keys if keys.count(k) > 1})
-        if repeated:
-            raise yaml.constructor.ConstructorError(
-                None, None, f"key(s) {', '.join(repeated)} given twice", node.start_mark)
-        return super().construct_mapping(node, deep)
+    class Loader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            keys = [self.construct_object(k, deep=deep) for k, _ in node.value
+                    if k.tag != "tag:yaml.org,2002:merge"]
+            repeated = sorted({str(k) for k in keys if keys.count(k) > 1})
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"key(s) {', '.join(repeated)} given twice", node.start_mark)
+            return super().construct_mapping(node, deep)
 
-
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
-    list("-+0123456789"),
-)
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+        list("-+0123456789"),
+    )
+    return Loader
 
 
 @functools.cache
@@ -127,9 +132,11 @@ def _reject_unknown(mapping: dict, allowed: frozenset, where: str) -> None:
 def _load_config(path: Path | None) -> dict:
     if path is None:
         return {}
+    import yaml
+
     with open(path) as fh:
         try:
-            data = yaml.load(fh, Loader=_Loader) or {}
+            data = yaml.load(fh, Loader=_yaml_loader()) or {}
         except yaml.YAMLError as exc:
             raise ValueError(f"config file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):

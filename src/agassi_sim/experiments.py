@@ -27,8 +27,10 @@ rule.  Every exact run, search and time series alike, evolves on the initial
 state's coset of the XOR span of H's x masks (|dduu> and |uudd> at j = 1,
 2^(3j-2) states in general), which H never leaves; ``to_matrix`` builds the
 blocks on it from the Pauli terms, so the Hamiltonians of a chunk are one
-stack and one ``eigh``.  Every digital run evolves on the same coset, which
-the Trotter step never leaves either, through ``trotter.coset_steps``.
+stack and one ``eigh``.  The coset and its blocks are built once per start
+support and set of blocks, and shared, read-only, by every later run from
+that start.  Every digital run evolves on the same coset, which the Trotter
+step never leaves either, through ``trotter.coset_steps``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -46,7 +49,7 @@ from . import __version__
 from .checks import boolean, finite, integer, probability, real, text
 from .ion_compiler import compile_schedule, count_gates, error_budget, sequence_to_text
 from .model import ModelParams, _coupling_free_blocks, coupling_weights, critical_line
-from .paulis import MATRIX_QUBIT_LIMIT, CapacityError, to_matrix, x_blocks, x_span
+from .paulis import MATRIX_QUBIT_LIMIT, CapacityError, PauliSum, to_matrix, x_blocks, x_span
 from .statevector import UNITARITY_TOL, StateVector, TimeSeries, basis_state, spectral_states
 from .trotter import build_schedule, coset_states, coset_steps
 
@@ -178,13 +181,31 @@ def _survival_values(states: np.ndarray, initial: np.ndarray) -> np.ndarray:
 def _coset_blocks(initial: StateVector, j: int) -> tuple[np.ndarray, np.ndarray]:
     """idx, the initial state's coset of the x-mask span of the coupling-free
     blocks at j (a union of cosets for a superposition), and those blocks
-    (identity dropped) on idx; the n <= 12 guard runs before any 2^n array."""
+    (identity dropped) on idx, both read-only; the n <= 12 guard runs before
+    any 2^n array."""
     if initial.n > MATRIX_QUBIT_LIMIT:
         raise CapacityError(initial.n)
-    free = _coupling_free_blocks(j)
+    support = tuple(np.flatnonzero(initial.amplitudes).tolist())
+    return _support_blocks(support, _coupling_free_blocks(j))
+
+
+@lru_cache(maxsize=8)
+def _support_blocks(support: tuple[int, ...],
+                    free: tuple[PauliSum, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_coset_blocks` of the basis indices ``support`` and the
+    coupling-free blocks ``free``, built once per pair.  The key holds the
+    blocks themselves, not j, so other blocks at the same j (a term added to
+    one) never read a stale entry.  idx is the ``flatnonzero`` of a
+    membership mask of length 2^n, sorted without ``np.unique``, which would
+    import numpy.ma."""
     span = x_span([x for block in free for x, _ in x_blocks(block)])
-    idx = np.unique(np.flatnonzero(initial.amplitudes)[:, None] ^ span)
-    return idx, np.array([to_matrix(block.without_identity(), idx) for block in free])
+    member = np.zeros(2**free[0].n, dtype=bool)
+    member[np.array(support, dtype=np.int64)[:, None] ^ span] = True
+    idx = np.flatnonzero(member)
+    blocks = np.array([to_matrix(block.without_identity(), idx) for block in free])
+    for array in (idx, blocks):
+        array.setflags(write=False)
+    return idx, blocks
 
 
 def _sector_spectra(points: list[ModelParams], blocks: np.ndarray,

@@ -101,18 +101,22 @@ def coset_steps(start: np.ndarray, rows: np.ndarray | None, params: ModelParams,
                 dts: np.ndarray) -> Iterator[np.ndarray]:
     """A state's amplitudes ``start`` on ``rows`` (1-d basis indices closed
     under the step's x masks, outside which the state is zero; None for
-    every index) under repeated steps of each size in dts: yields the states
-    after 1, 2, ... steps, one row per size, shape (len(dts), len(rows))."""
+    every index) under repeated steps of each size in dts: an iterator of the
+    states after 1, 2, ... steps, one row per size, shape (len(dts),
+    len(rows)).  The inputs are checked on the call, before any step."""
     layer = build_schedule(params, 1.0, 1).layer
     steps = rotation_steps(layer, params.n_qubits, finite(dts, "dts"), rows)
     width = 2**params.n_qubits if rows is None else len(rows)
     if np.shape(start) != (width,):
         raise ValueError(f"start must hold {width} amplitudes, one per row, "
                          f"got shape {np.shape(start)}")
-    amps = np.broadcast_to(start, (len(dts), width))
-    while True:
-        amps = apply_steps(amps, steps)
-        yield amps
+
+    def states(amps):
+        while True:
+            amps = apply_steps(amps, steps)
+            yield amps
+
+    return states(np.broadcast_to(start, (len(dts), width)))
 
 
 def coset_states(start: np.ndarray, rows: np.ndarray | None, params: ModelParams,

@@ -1,6 +1,7 @@
 """Experiment-runner tests: observables, amplitude extraction, CSV output, CLI."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -35,7 +36,7 @@ from agassi_sim.experiments import (
     survival_series,
 )
 from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian, critical_line
-from agassi_sim.paulis import CapacityError, PauliString, PauliSum, x_blocks, x_span
+from agassi_sim.paulis import CapacityError, PauliString, PauliSum, to_matrix, x_blocks, x_span
 from agassi_sim.statevector import (ExactPropagator, StateVector, basis_index, basis_state,
                                     expectation)
 from agassi_sim.trotter import coset_steps, trotter_evolve, trotter_states_at
@@ -337,6 +338,66 @@ def traced_peak(make) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def fresh_interpreter(code: str) -> None:
+    """Run ``code`` in a new python process that imports this agassi_sim."""
+    src = str(Path(agassi_sim.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+
+
+class TestCosetCache:
+    """The start state's coset and its blocks are built once per start
+    support and blocks, read-only, without numpy.ma."""
+
+    def test_figure_jobs_build_the_coset_once(self, tmp_path, capsys):
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "reproduce_figures", root / "scripts" / "reproduce_figures.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        experiments._support_blocks.cache_clear()
+        assert script.run(tmp_path) == 0
+        info = experiments._support_blocks.cache_info()
+        # ten exact and digital jobs from dduu; the compile report builds none
+        assert (info.misses, info.hits) == (1, 9)
+
+    def test_a_hit_refuses_writes(self):
+        initial = basis_state("dduu")
+        experiments._coset_blocks(initial, 1)
+        hits = experiments._support_blocks.cache_info().hits
+        idx, blocks = experiments._coset_blocks(initial, 1)
+        assert experiments._support_blocks.cache_info().hits == hits + 1
+        for array in (idx, blocks):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("patterns,cosets", [(("dduu", "uudd"), 1), (("dduu", "dudd"), 2)])
+    def test_superposition_matches_a_sorted_unique_reference(self, patterns, cosets):
+        amps = sum(basis_state(p).amplitudes for p in patterns) / np.sqrt(len(patterns))
+        initial = StateVector(amps, 4)
+        free = experiments._coupling_free_blocks(1)
+        span = x_span([x for block in free for x, _ in x_blocks(block)])
+        expected = np.unique(np.flatnonzero(amps)[:, None] ^ span)
+        idx, blocks = experiments._coset_blocks(initial, 1)
+        assert idx.dtype == expected.dtype and idx.tolist() == expected.tolist()
+        assert len(idx) == cosets * len(span)
+        for block, matrix in zip(free, blocks):
+            assert matrix.tobytes() == to_matrix(block.without_identity(), expected).tobytes()
+
+    def test_cli_import_leaves_yaml_unloaded(self):
+        fresh_interpreter("import agassi_sim.cli, sys; assert 'yaml' not in sys.modules")
+
+    def test_runs_leave_numpy_ma_unloaded(self, tmp_path):
+        fresh_interpreter(
+            "import sys\n"
+            "from agassi_sim.cli import main\n"
+            "for argv in (['survival'], ['correlation'], ['phase-sweep', '--sweep-points', '5']):\n"
+            f"    assert main([*argv, '--out', {str(tmp_path)!r} + '/' + argv[0] + '.csv']) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'\n")
+        assert len(list(tmp_path.glob("*.csv"))) == 3
 
 
 class TestExactSeries:

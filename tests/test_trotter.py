@@ -14,6 +14,7 @@ from agassi_sim.statevector import (
 )
 from agassi_sim.trotter import (
     build_schedule,
+    coset_steps,
     digital_error,
     evolve_schedule,
     trotter_evolve,
@@ -227,3 +228,11 @@ class TestDigitalError:
         errors = np.array([digital_error(state, PARAMS, 2.0, int(n)) for n in steps])
         slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
         assert slope <= -1.0
+
+
+class TestCosetSteps:
+    @pytest.mark.parametrize("start,dts", [(np.ones(3), [np.nan]),  # a NaN step size
+                                           (np.ones(3), [0.1])])  # 3 amplitudes for 2 rows
+    def test_inputs_checked_on_the_call_before_any_step(self, start, dts):
+        with pytest.raises(ValueError):
+            coset_steps(start, np.array([3, 12]), ModelParams(g=0.5, V=0.5), dts)

@@ -21,9 +21,14 @@ until that bracket is at most ZOOM_WIDTH wide.  The extremum is then pinned
 to about 1e-17 in value; plain grid maxima are only good to about 1e-4, not
 enough to resolve the saturation plateau.
 
-The search runs every point of a sweep at once, in chunks of at most
-SEARCH_AMPLITUDES amplitudes per pass, and each point keeps its own stopping
-rule.  Every exact run, search and time series alike, evolves on the initial
+Every pass of the search batches all points of a sweep at once, in slices of
+at most SEARCH_AMPLITUDES amplitudes, and each point keeps its own stopping
+rule.  The exact search evaluates its states by phase tables on each point's
+uniform grid (``statevector.spectral_grid_states``), about 2 sqrt(samples)
+exponentials per eigenvalue instead of samples; the exact time series keep
+``spectral_states`` at their times.
+
+Every exact run, search and time series alike, evolves on the initial
 state's coset of the XOR span of H's x masks (|dduu> and |uudd> at j = 1,
 2^(3j-2) states in general), which H never leaves; ``to_matrix`` builds the
 blocks on it from the Pauli terms, so the Hamiltonians of a chunk are one
@@ -50,7 +55,8 @@ from .checks import boolean, finite, integer, probability, real, text
 from .ion_compiler import compile_schedule, count_gates, error_budget, sequence_to_text
 from .model import ModelParams, _coupling_free_blocks, coupling_weights, critical_line
 from .paulis import MATRIX_QUBIT_LIMIT, CapacityError, PauliSum, to_matrix, x_blocks, x_span
-from .statevector import UNITARITY_TOL, StateVector, TimeSeries, basis_state, spectral_states
+from .statevector import (UNITARITY_TOL, StateVector, TimeSeries, basis_state,
+                          spectral_grid_states, spectral_states)
 from .trotter import build_schedule, coset_states, coset_steps
 
 SATURATION_TOL = 1e-6
@@ -73,9 +79,10 @@ ZOOM_WIDTH = 1e-9
 maximum, below the rounding of the observable itself."""
 
 SEARCH_AMPLITUDES = 2**15
-"""Most amplitudes one search pass holds, counted as points * GRID_SAMPLES *
-coset dimension: a sweep is searched in chunks of that many points (40 at
-j = 1), and never fewer than one."""
+"""Most amplitudes one slice of a search pass holds, counted as points *
+samples * coset dimension: each pass runs in slices of that many points
+(never fewer than one), 40 per grid slice and 252 per zoom pass at j = 1.
+The exact spectra are built in chunks of the grid slice's size."""
 
 
 @dataclass(frozen=True)
@@ -229,28 +236,34 @@ def _exact_states(cfg: ExperimentConfig, times: np.ndarray) -> tuple:
     return initial, idx, spectral_states(*spectra, times)[0]
 
 
-def _zoom_max(periods: np.ndarray, values_at: Callable) -> np.ndarray:
-    """Per point, the maximum of ``values_at(rows, times)`` (one row of values
-    per active point, times of shape (rows, samples)) over two periods: one
-    batched pass on the grid, then batched passes on the bracket around each
-    point's best sample, until that bracket is at most ZOOM_WIDTH wide or
-    stops shrinking (the float spacing of t reached).  A point that stops
-    leaves the batch; the others go on."""
-    times = np.linspace(0.0, 2 * periods, GRID_SAMPLES, axis=-1)
+def _zoom_max(periods: np.ndarray, values_at: Callable, d: int) -> np.ndarray:
+    """Per point, the maximum of ``values_at(rows, lo, hi, samples)`` (one
+    row of values per point in ``rows``, at its times ``lo + k (hi - lo) /
+    (samples - 1)``, k < samples) over two periods: one pass on the grid,
+    then passes on the bracket around each point's best sample, until that
+    bracket is at most ZOOM_WIDTH wide or stops shrinking (the float spacing
+    of t reached).  A point that stops leaves the batch; the others go on.
+
+    Each pass runs in slices of at most SEARCH_AMPLITUDES // (samples * d)
+    points, d the width of a state.  A bracket's ends are ``np.linspace``'s
+    own samples k -/+ 1, ``i * step + lo`` with the last pinned to ``hi``,
+    computed without the grid."""
     best = np.full(len(periods), -np.inf)
     width = np.full(len(periods), np.inf)
     rows = np.arange(len(periods))
+    lo, hi, samples = np.zeros(len(periods)), 2 * periods, GRID_SAMPLES
     while rows.size:
-        values = values_at(rows, times)
+        per = max(1, SEARCH_AMPLITUDES // (samples * d))
+        values = np.concatenate([values_at(rows[s:s + per], lo[s:s + per], hi[s:s + per], samples)
+                                 for s in range(0, len(rows), per)])
         k = np.argmax(values, axis=1)
-        here = np.arange(len(rows))
-        best[rows] = np.maximum(best[rows], values[here, k])
-        lo = times[here, np.maximum(k - 1, 0)]
-        hi = times[here, np.minimum(k + 1, times.shape[1] - 1)]
+        best[rows] = np.maximum(best[rows], values[np.arange(len(rows)), k])
+        step = (hi - lo) / (samples - 1)
+        lo, hi = (np.maximum(k - 1, 0) * step + lo,
+                  np.where(k + 1 < samples - 1, (k + 1) * step + lo, hi))
         going = (hi - lo > ZOOM_WIDTH) & (hi - lo < width[rows])
         width[rows] = hi - lo
-        rows = rows[going]
-        times = np.linspace(lo[going], hi[going], ZOOM_SAMPLES, axis=-1)
+        rows, lo, hi, samples = rows[going], lo[going], hi[going], ZOOM_SAMPLES
     return best
 
 
@@ -260,31 +273,32 @@ def _two_period_max(points: list[ModelParams], initial: StateVector, observable:
     Rabi periods, under exact or (n_T given) digital evolution from one initial
     state; ``states`` are amplitudes on ``idx``, the initial state's coset.
 
-    Points go through :func:`_zoom_max` in chunks of at most SEARCH_AMPLITUDES
-    amplitudes per pass.  Exact states are one stack of coset blocks per
-    chunk; digital states are evolved per point on idx by
-    :func:`trotter.coset_states`."""
-    best = np.empty(len(points))
+    Every point goes through one :func:`_zoom_max`.  Exact states come from
+    the spectra of the points' coset blocks, built in chunks of at most
+    SEARCH_AMPLITUDES // (GRID_SAMPLES * d) points, by the phase tables of
+    :func:`spectral_grid_states`; digital states are evolved per point on idx
+    by :func:`trotter.coset_states` at the ``np.linspace`` times."""
     if not points:
-        return best
+        return np.empty(0)
     idx, blocks = _coset_blocks(initial, points[0].j)
-    chunk = max(1, SEARCH_AMPLITUDES // (GRID_SAMPLES * len(idx)))
-    for start in range(0, len(points), chunk):
-        part = points[start:start + chunk]
-        if n_T is None:
-            energies, vectors, coeffs = _sector_spectra(part, blocks, initial.amplitudes[idx])
+    start = initial.amplitudes[idx]
+    if n_T is None:
+        chunk = max(1, SEARCH_AMPLITUDES // (GRID_SAMPLES * len(idx)))
+        energies, vectors, coeffs = map(np.concatenate, zip(*(
+            _sector_spectra(points[k:k + chunk], blocks, start)
+            for k in range(0, len(points), chunk))))
 
-            def states_at(rows, times):
-                return spectral_states(energies[rows], vectors[rows], coeffs[rows], times)
-        else:
-            def states_at(rows, times):
-                return np.array([coset_states(initial.amplitudes[idx], idx, part[r], t, n_T)
-                                 for r, t in zip(rows, times)])
+        def states_at(rows, lo, hi, samples):
+            return spectral_grid_states(energies[rows], vectors[rows], coeffs[rows],
+                                        lo, hi, samples)
+    else:
+        def states_at(rows, lo, hi, samples):
+            times = np.linspace(lo, hi, samples, axis=-1)
+            return np.array([coset_states(start, idx, points[r], t, n_T)
+                             for r, t in zip(rows, times)])
 
-        best[start:start + chunk] = _zoom_max(
-            np.array([rabi_period(p) for p in part]),
-            lambda rows, times: observable(states_at(rows, times), initial, idx))
-    return best
+    return _zoom_max(np.array([rabi_period(p) for p in points]),
+                     lambda *grid: observable(states_at(*grid), initial, idx), len(idx))
 
 
 def _corr_values(states: np.ndarray, initial: StateVector, idx: np.ndarray) -> np.ndarray:

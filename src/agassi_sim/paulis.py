@@ -18,7 +18,7 @@ are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -168,6 +168,19 @@ class PauliSum:
 
     def __iter__(self):
         return iter(self.terms)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.terms, self.n))
+
+    def __hash__(self) -> int:
+        """The dataclass hash of the fields, computed once: the sum is frozen."""
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        """The fields only: str hashes are salted per process, so a cached
+        hash must not be pickled."""
+        return {"terms": self.terms, "n": self.n}
 
     def is_zero(self) -> bool:
         return not self.terms

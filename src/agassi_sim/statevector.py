@@ -10,6 +10,8 @@ product of Pauli exponentials (one exponential, a Trotter step, a compiled
 program) runs through one kernel, :func:`rotation_steps` and :func:`apply_steps`;
 the n <= 12 oracle :class:`ExactPropagator` is one ``eigh`` of H's coset blocks,
 which ``to_matrix`` builds from the Pauli terms without the full matrix.
+Spectral states come from :func:`spectral_states` at given times or, on a
+uniform grid, from the phase tables of :func:`spectral_grid_states`.
 
 State vectors are owned exclusively while being evolved; all functions here
 return fresh vectors and may be called concurrently on distinct states.
@@ -17,6 +19,7 @@ return fresh vectors and may be called concurrently on distinct states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -251,6 +254,32 @@ def spectral_states(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
     times (..., T)."""
     phases = np.exp(-1j * (times[..., :, None] * eigenvalues[..., None, :]))
     return (phases * coeffs[..., None, :]) @ np.swapaxes(eigenvectors, -1, -2)
+
+
+def spectral_grid_states(eigenvalues: np.ndarray, eigenvectors: np.ndarray, coeffs: np.ndarray,
+                         lo: np.ndarray, hi: np.ndarray, samples: int) -> np.ndarray:
+    """:func:`spectral_states` of each row (eigenvalues (rows, d),
+    eigenvectors (rows, d, d), coeffs (rows, d)) on its uniform grid ``lo +
+    k s``, ``s = (hi - lo) / (samples - 1)``, k < samples; shape (rows,
+    samples, d).
+
+    With ``k = a m + b`` and ``m = ceil(sqrt(samples))``, the state at k is
+    ``(V diag(exp(-i E b s))) (coeffs * exp(-i E (lo + a m s)))``: a table of
+    m phased eigenvector matrices times ceil(samples / m) phased coefficient
+    columns, in one batched matmul.  So a row takes about 2 sqrt(samples)
+    exponentials per eigenvalue, not samples.  m is at most ceil(samples /
+    d), so the table never holds many more amplitudes than the states.  The
+    times differ from ``np.linspace(lo, hi, samples)`` only by rounding."""
+    rows, d = eigenvalues.shape
+    m = min(math.isqrt(samples - 1) + 1, -(-samples // d))
+    step = (hi - lo) / (samples - 1)
+    inner = np.exp(-1j * ((step[:, None] * np.arange(m))[:, :, None] * eigenvalues[:, None, :]))
+    # table[r, j, b, i] = V[r, i, j] exp(-i E[r, j] b s)
+    table = np.swapaxes(eigenvectors, 1, 2)[:, :, None, :] * np.swapaxes(inner, 1, 2)[..., None]
+    starts = np.arange(0, samples, m) * step[:, None] + lo[:, None]
+    columns = coeffs[:, None, :] * np.exp(-1j * (starts[:, :, None] * eigenvalues[:, None, :]))
+    states = columns @ table.reshape(rows, d, m * d)
+    return states.reshape(rows, -1, d)[:, :samples]
 
 
 def exact_evolve(state: StateVector, hamiltonian: PauliSum, t: float) -> StateVector:

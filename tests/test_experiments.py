@@ -263,6 +263,64 @@ class TestBatchedSearch:
             states_at = partial(trotter_states_at, initial, params, n_T=5)
             assert abs(amp - reference_max(params, full_corr, states_at)) < 1e-12
 
+    @staticmethod
+    def record_kernel_calls(monkeypatch) -> list[tuple[int, int, int]]:
+        """(rows, samples, d) of every exact search pass slice."""
+        calls = []
+        kernel = experiments.spectral_grid_states
+
+        def recorded(energies, vectors, coeffs, lo, hi, samples):
+            calls.append((len(energies), samples, energies.shape[1]))
+            return kernel(energies, vectors, coeffs, lo, hi, samples)
+
+        monkeypatch.setattr(experiments, "spectral_grid_states", recorded)
+        return calls
+
+    def test_every_pass_slice_stays_within_the_budget(self, monkeypatch):
+        cfg = sweep_cfg(-0.3, 1.2, 23)
+        default = phase_sweep(cfg).amplitude
+        budget = 2 * GRID_SAMPLES * coset_size(1) + 100
+        monkeypatch.setattr(experiments, "SEARCH_AMPLITUDES", budget)
+        calls = self.record_kernel_calls(monkeypatch)
+        small = phase_sweep(cfg).amplitude
+        assert max(rows * samples * d for rows, samples, d in calls) <= budget
+        grid = [rows for rows, samples, _ in calls if samples == GRID_SAMPLES]
+        assert grid == [2] * 11 + [1]
+        # zoom passes run in slices of budget // (ZOOM_SAMPLES * d) = 13 points
+        assert max(rows for rows, samples, _ in calls if samples == ZOOM_SAMPLES) == 13
+        assert np.max(np.abs(small - default)) < 1e-14
+
+    def test_default_sweep_makes_three_grid_slices_then_one_call_per_zoom_pass(
+            self, monkeypatch):
+        calls = self.record_kernel_calls(monkeypatch)
+        phase_sweep(ExperimentConfig("phase_sweep"))
+        # g = V = 0 is stationary and never searched; d = 2 at j = 1
+        assert [call[:2] for call in calls[:3]] == [(40, GRID_SAMPLES), (40, GRID_SAMPLES),
+                                                   (20, GRID_SAMPLES)]
+        zoom = calls[3:]
+        assert 1 <= len(zoom) <= 6 and {samples for _, samples, _ in zoom} == {ZOOM_SAMPLES}
+        rows = [r for r, _, _ in zoom]
+        assert rows[0] == 100 and rows == sorted(rows, reverse=True)
+
+    @pytest.mark.parametrize("g,v", [(0.3, 0.2), (0.45, 0.6)])
+    def test_search_at_coset_dimension_16_matches_full_space_search(self, g, v):
+        params = ModelParams(g=g, V=v, j=2)
+        initial = basis_state("dddduuuu")
+        assert coset_size(2) == 16
+        z1, z2 = z_signs(1, 8), z_signs(2, 8)
+
+        def corr(states):
+            prob = np.abs(states) ** 2
+            return prob @ (z1 * z2) - (prob @ z1) * (prob @ z2)
+
+        states_at = dense_states_at(build_hamiltonian(params), initial)
+        cfg = ExperimentConfig("correlation", params=params)
+        assert abs(amplitude(cfg) - reference_max(params, corr, states_at)) < 1e-12
+        minimum = -reference_max(
+            params, lambda s: -np.abs(s @ initial.amplitudes.conj()) ** 2, states_at)
+        cfg = ExperimentConfig("survival", params=params)
+        assert abs(survival_minimum(cfg) - minimum) < 1e-12
+
     def test_sweep_memory_stays_under_the_cap(self):
         cfg = ExperimentConfig("phase_sweep")
         phase_sweep(cfg)  # fill the small caches first
@@ -386,6 +444,17 @@ class TestCosetCache:
         assert len(idx) == cosets * len(span)
         for block, matrix in zip(free, blocks):
             assert matrix.tobytes() == to_matrix(block.without_identity(), expected).tobytes()
+
+    def test_equal_blocks_built_separately_share_one_entry(self):
+        free = experiments._coupling_free_blocks(1)
+        rebuilt = tuple(PauliSum.from_terms(block.terms, block.n) for block in free)
+        assert all(a is not b and a == b for a, b in zip(free, rebuilt))
+        experiments._support_blocks.cache_clear()
+        support = (basis_index("dduu"),)
+        first = experiments._support_blocks(support, free)
+        assert experiments._support_blocks(support, rebuilt) is first
+        info = experiments._support_blocks.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_cli_import_leaves_yaml_unloaded(self):
         fresh_interpreter("import agassi_sim.cli, sys; assert 'yaml' not in sys.modules")

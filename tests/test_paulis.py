@@ -1,5 +1,7 @@
 """Pauli-string algebra and Jordan-Wigner mapping tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,34 @@ class TestCanonicalForm:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
             PauliSum.from_terms([pauli("X"), pauli("XX")])
+
+
+class TestSumHash:
+    """A sum's hash is the dataclass hash of its fields, computed once."""
+
+    TERMS = (pauli("XZ", 0.5), pauli("ZZ", -1.25), pauli("IY", 2.0))
+
+    def test_equal_sums_built_separately_hash_equal(self):
+        a, b = PauliSum.from_terms(self.TERMS), PauliSum.from_terms(self.TERMS[::-1])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.terms, a.n))
+
+    def test_a_second_hash_does_not_rehash_the_strings(self, monkeypatch):
+        calls = []
+        string_hash = PauliString.__hash__
+        monkeypatch.setattr(PauliString, "__hash__",
+                            lambda string: calls.append(string) or string_hash(string))
+        s = PauliSum.from_terms(self.TERMS)
+        first = hash(s)
+        assert len(calls) == 3
+        assert hash(s) == first and len(calls) == 3
+
+    def test_pickle_carries_no_cached_hash(self):
+        s = PauliSum.from_terms(self.TERMS)
+        hash(s)
+        copy = pickle.loads(pickle.dumps(s))
+        assert "_hash" not in vars(copy)
+        assert copy == s and hash(copy) == hash(s)
 
 
 class TestJordanWigner:

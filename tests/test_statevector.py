@@ -20,6 +20,7 @@ from agassi_sim.statevector import (
     expectation,
     fidelity,
     rotation_steps,
+    spectral_grid_states,
     spectral_states,
 )
 
@@ -294,6 +295,42 @@ class TestStatesAtSkipsEmptyCosets:
             assert evaluated.pop() == live
             assert np.array_equal(got, self.every_coset(prop, state, times))
             assert np.count_nonzero(np.any(got != 0, axis=0)) <= live * prop.cosets.shape[1]
+
+
+class TestGridStates:
+    """``spectral_grid_states`` (phase tables on a uniform grid) agrees with
+    ``spectral_states`` at ``np.linspace(lo, hi, samples)``."""
+
+    @staticmethod
+    def random_spectra(rng, rows: int, d: int):
+        a = rng.normal(size=(rows, d, d)) + 1j * rng.normal(size=(rows, d, d))
+        energies, vectors = np.linalg.eigh((a + a.conj().swapaxes(1, 2)) / (2 * np.sqrt(d)))
+        start = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+        start /= np.linalg.norm(start, axis=1, keepdims=True)
+        return energies, vectors, np.einsum("rij,ri->rj", vectors.conj(), start)
+
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    @pytest.mark.parametrize("samples", [2, 3, 65, 401])
+    def test_matches_spectral_states_on_linspace(self, d, samples):
+        rng = np.random.default_rng(100 * d + samples)
+        spectra = self.random_spectra(rng, 4, d)
+        # from 1e-9 wide near t = 100 to [0, 100]
+        lo = np.array([0.0, 3.0, 97.25, 100.0 - 1e-9])
+        hi = np.array([100.0, 3.5, 97.25 + 1e-6, 100.0])
+        got = spectral_grid_states(*spectra, lo, hi, samples)
+        times = np.linspace(lo, hi, samples, axis=-1)
+        assert got.shape == (4, samples, d)
+        assert np.abs(got - spectral_states(*spectra, times)).max() < 1e-13
+
+    def test_one_row_and_a_table_capped_by_the_width(self):
+        """At d above sqrt(samples) the table takes fewer rows than
+        ceil(sqrt(samples)), and the states are still the linspace ones."""
+        rng = np.random.default_rng(7)
+        spectra = self.random_spectra(rng, 1, 128)
+        lo, hi = np.array([1.0]), np.array([9.0])
+        got = spectral_grid_states(*spectra, lo, hi, 401)
+        times = np.linspace(lo, hi, 401, axis=-1)
+        assert np.abs(got - spectral_states(*spectra, times)).max() < 1e-13
 
 
 class TestObservables:

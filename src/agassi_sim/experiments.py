@@ -29,13 +29,13 @@ exponentials per eigenvalue instead of samples; the exact time series keep
 ``spectral_states`` at their times.
 
 Every exact run, search and time series alike, evolves on the initial
-state's coset of the XOR span of H's x masks (|dduu> and |uudd> at j = 1,
-2^(3j-2) states in general), which H never leaves; ``to_matrix`` builds the
-blocks on it from the Pauli terms, so the Hamiltonians of a chunk are one
-stack and one ``eigh``.  The coset and its blocks are built once per start
-support and set of blocks, and shared, read-only, by every later run from
-that start.  Every digital run evolves on the same coset, which the Trotter
-step never leaves either, through ``trotter.coset_steps``.
+state's coset (``paulis.cosets`` of the coupling-free blocks' x masks:
+|dduu> and |uudd> at j = 1, 2^(3j-2) states in general), which H never
+leaves, by the spectral evaluation that ``statevector.ExactPropagator``
+uses too.  The coset and its blocks are built once per start support and set
+of blocks, and shared, read-only, by every later run from that start.  Every
+digital run evolves on the same coset, which the Trotter step never leaves
+either, through ``trotter.coset_steps``.
 """
 
 from __future__ import annotations
@@ -54,9 +54,10 @@ from . import __version__
 from .checks import boolean, finite, integer, probability, real, text
 from .ion_compiler import compile_schedule, count_gates, error_budget, sequence_to_text
 from .model import ModelParams, _coupling_free_blocks, coupling_weights, critical_line
-from .paulis import MATRIX_QUBIT_LIMIT, CapacityError, PauliSum, to_matrix, x_blocks, x_span
-from .statevector import (UNITARITY_TOL, StateVector, TimeSeries, basis_state,
-                          spectral_grid_states, spectral_states)
+from .paulis import MATRIX_QUBIT_LIMIT, CapacityError, PauliSum, cosets, to_matrix, x_masks_of
+from .statevector import (StateVector, TimeSeries, basis_state, hermitian_spectra,
+                          parse_spin_pattern, spectral_coeffs, spectral_grid_states,
+                          spectral_states)
 from .trotter import build_schedule, coset_states, coset_steps
 
 SATURATION_TOL = 1e-6
@@ -91,8 +92,9 @@ class ExperimentConfig:
     None becomes the half-filled state with the upper level empty,
     ``"d" * 2j + "u" * 2j`` (``dduu`` at j = 1).
 
-    The state is resolved on construction, so ``dataclasses.replace(cfg,
-    params=...)`` keeps the old one: a copy that changes ``j`` must also pass
+    The state is resolved and checked against ``params.n_qubits`` on
+    construction, so ``dataclasses.replace(cfg, params=...)`` keeps the old
+    one: a copy that changes ``j`` is refused unless it also passes
     ``initial_state=None`` (or a pattern of the new size)."""
 
     experiment: str
@@ -128,6 +130,14 @@ class ExperimentConfig:
             half = 2 * self.params.j
             object.__setattr__(self, "initial_state", "d" * half + "u" * half)
         text(self.initial_state, "initial_state")
+        try:
+            qubits = len(parse_spin_pattern(self.initial_state))
+        except ValueError as exc:
+            raise ValueError(f"initial_state {self.initial_state!r}: {exc}") from None
+        if qubits != self.params.n_qubits:
+            raise ValueError(f"initial_state {self.initial_state!r} has {qubits} qubits, "
+                             f"j = {self.params.j} needs {self.params.n_qubits}; "
+                             "pass initial_state=None")
         boolean(self.trotter, "trotter")
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
             raise ValueError(f"out must be a string or a path, got {self.out!r}")
@@ -172,21 +182,12 @@ def default_t_final(cfg: ExperimentConfig) -> float:
     return 10.0 / scale
 
 
-def _initial(cfg: ExperimentConfig) -> StateVector:
-    state = basis_state(cfg.initial_state)
-    if state.n != cfg.params.n_qubits:
-        raise ValueError(
-            f"initial state has {state.n} qubits, model needs {cfg.params.n_qubits}"
-        )
-    return state
-
-
 def _survival_values(states: np.ndarray, initial: np.ndarray) -> np.ndarray:
     return np.abs(states @ initial.conj()) ** 2
 
 
 def _coset_blocks(initial: StateVector, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """idx, the initial state's coset of the x-mask span of the coupling-free
+    """idx, the initial state's coset of the x masks of the coupling-free
     blocks at j (a union of cosets for a superposition), and those blocks
     (identity dropped) on idx, both read-only; the n <= 12 guard runs before
     any 2^n array."""
@@ -202,38 +203,25 @@ def _support_blocks(support: tuple[int, ...],
     """:func:`_coset_blocks` of the basis indices ``support`` and the
     coupling-free blocks ``free``, built once per pair.  The key holds the
     blocks themselves, not j, so other blocks at the same j (a term added to
-    one) never read a stale entry.  idx is the ``flatnonzero`` of a
-    membership mask of length 2^n, sorted without ``np.unique``, which would
-    import numpy.ma."""
-    span = x_span([x for block in free for x, _ in x_blocks(block)])
-    member = np.zeros(2**free[0].n, dtype=bool)
-    member[np.array(support, dtype=np.int64)[:, None] ^ span] = True
-    idx = np.flatnonzero(member)
+    one) never read a stale entry.  idx is the sorted union of the
+    support's ``paulis.cosets``, which are disjoint, so ``np.sort`` does
+    without ``np.unique`` (which would import numpy.ma)."""
+    masks = [x for block in free for x in x_masks_of(block)]
+    idx = np.sort(cosets(masks, free[0].n, support), axis=None)
     blocks = np.array([to_matrix(block.without_identity(), idx) for block in free])
     for array in (idx, blocks):
         array.setflags(write=False)
     return idx, blocks
 
 
-def _sector_spectra(points: list[ModelParams], blocks: np.ndarray,
-                    start: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, eigenvectors and the coefficients of ``start`` in them of
-    each point's Hamiltonian on the coset, by one batched ``eigh``; ``blocks``
-    are the coset blocks that ``coupling_weights`` weighs."""
-    h = np.tensordot([coupling_weights(p) for p in points], blocks, axes=1)
-    if np.abs(h - h.conj().swapaxes(1, 2)).max() > UNITARITY_TOL:
-        raise ValueError("Hamiltonian must be Hermitian")
-    energies, vectors = np.linalg.eigh(h)
-    return energies, vectors, vectors.conj().swapaxes(1, 2) @ start
-
-
 def _exact_states(cfg: ExperimentConfig, times: np.ndarray) -> tuple:
     """The initial state, its coset idx and the exact states on idx at the
     given times, shape (len(times), d)."""
-    initial = _initial(cfg)
+    initial = basis_state(cfg.initial_state)
     idx, blocks = _coset_blocks(initial, cfg.params.j)
-    spectra = _sector_spectra([cfg.params], blocks, initial.amplitudes[idx])
-    return initial, idx, spectral_states(*spectra, times)[0]
+    energies, vectors = hermitian_spectra(np.tensordot([coupling_weights(cfg.params)], blocks, 1))
+    coeffs = spectral_coeffs(vectors, initial.amplitudes[idx])
+    return initial, idx, spectral_states(energies, vectors, coeffs, times)[0]
 
 
 def _zoom_max(periods: np.ndarray, values_at: Callable, d: int) -> np.ndarray:
@@ -284,9 +272,11 @@ def _two_period_max(points: list[ModelParams], initial: StateVector, observable:
     start = initial.amplitudes[idx]
     if n_T is None:
         chunk = max(1, SEARCH_AMPLITUDES // (GRID_SAMPLES * len(idx)))
-        energies, vectors, coeffs = map(np.concatenate, zip(*(
-            _sector_spectra(points[k:k + chunk], blocks, start)
+        weights = np.array([coupling_weights(p) for p in points])
+        energies, vectors = map(np.concatenate, zip(*(
+            hermitian_spectra(np.tensordot(weights[k:k + chunk], blocks, 1))
             for k in range(0, len(points), chunk))))
+        coeffs = spectral_coeffs(vectors, start)
 
         def states_at(rows, lo, hi, samples):
             return spectral_grid_states(energies[rows], vectors[rows], coeffs[rows],
@@ -327,7 +317,8 @@ def amplitude(cfg: ExperimentConfig, *, trotterized: bool = False) -> float:
     coupling g + V = 0 leaves the initial eigenstate stationary, so the
     amplitude is 0.
     """
-    return float(_amplitudes([cfg.params], _initial(cfg), cfg.n_T if trotterized else None)[0])
+    n_T = cfg.n_T if trotterized else None
+    return float(_amplitudes([cfg.params], basis_state(cfg.initial_state), n_T)[0])
 
 
 def survival_minimum(cfg: ExperimentConfig) -> float:
@@ -335,7 +326,7 @@ def survival_minimum(cfg: ExperimentConfig) -> float:
     the same grid and zoom passes."""
     def values(states, initial, idx):
         return -_survival_values(states, initial.amplitudes[idx])
-    return -float(_two_period_max([cfg.params], _initial(cfg), values)[0])
+    return -float(_two_period_max([cfg.params], basis_state(cfg.initial_state), values)[0])
 
 
 def classify_amplitude(amp: float) -> str:
@@ -388,7 +379,7 @@ def phase_sweep(cfg: ExperimentConfig, *, trotterized: bool = False) -> SweepRes
     controls = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
     points = [ModelParams(epsilon=cfg.params.epsilon, g=float(gv), V=float(gv), j=1)
               for gv in controls]
-    amps = _amplitudes(points, _initial(cfg), cfg.n_T if trotterized else None)
+    amps = _amplitudes(points, basis_state(cfg.initial_state), cfg.n_T if trotterized else None)
     return SweepResult(control=controls, amplitude=amps,
                        phase=tuple(critical_line(p) for p in points))
 
@@ -396,8 +387,8 @@ def phase_sweep(cfg: ExperimentConfig, *, trotterized: bool = False) -> SweepRes
 def _write_csv(path: Path, header: tuple[str, ...], columns) -> None:
     """One line per row; ``str`` of a Python float is its ``repr``, full
     double precision."""
-    cells = zip(*(map(str, np.asarray(column).tolist()) for column in columns))
-    path.write_text("".join(",".join(row) + "\n" for row in (header, *cells)))
+    columns = [list(map(str, np.asarray(column).tolist())) for column in columns]
+    path.write_text("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
 
 
 def _write_manifest(path: Path, cfg: ExperimentConfig, outputs: list[Path],

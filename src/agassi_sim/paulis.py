@@ -347,6 +347,34 @@ def x_span(x_masks) -> np.ndarray:
     return span
 
 
+def x_masks_of(op: PauliSum) -> list[int]:
+    """The x mask of each term of a sum, in term order, without the phase
+    sums of :func:`x_blocks`."""
+    return [pauli_action(t.letters)[0] for t in op.terms]
+
+
+def cosets(x_masks, n: int, seeds=None) -> np.ndarray:
+    """The cosets ``least ^ x_span(x_masks)`` in [0, 2^n), one row each with
+    its smallest index ``least`` first, in order of it: every coset or those
+    holding one of the 1-d integer ``seeds``.  A mask or seed outside [0,
+    2^n) is refused with a ``ValueError``."""
+    x_masks = list(x_masks)
+    if not all(0 <= x < 2**n for x in x_masks):
+        raise ValueError(f"x masks must lie in [0, 2^{n}), got {x_masks!r}")
+    span = x_span(x_masks)
+    if seeds is None:
+        k = least = np.arange(2**n)
+        for x in x_masks:  # least[k] becomes the smallest index of k's coset
+            least = np.minimum(least, least[k ^ x])
+        return np.flatnonzero(least == k)[:, None] ^ span
+    seeds = np.asarray(seeds)
+    # seeds >> n is nonzero for a seed outside [0, 2^n)
+    if seeds.ndim != 1 or not np.issubdtype(seeds.dtype, np.integer) or np.any(seeds >> n):
+        raise ValueError(f"seeds must be 1-d integer basis indices in [0, 2^{n}), got {seeds!r}")
+    least = sorted(set((seeds[:, None] ^ span).min(axis=1).tolist()))
+    return np.array(least, dtype=np.int64)[:, None] ^ span
+
+
 def row_places(rows: np.ndarray, n: int, x_masks) -> np.ndarray:
     """``places[i, ..., a]``, the place in its row of ``rows[..., a] ^
     x_masks[i]``, shape ``(len(x_masks), *rows.shape)``, for rows of shape

@@ -7,11 +7,12 @@ Spin patterns accept the characters ``u``/``d`` or the arrows.
 
 Pauli strings act as bit-mask index permutations plus per-index phases.  Any
 product of Pauli exponentials (one exponential, a Trotter step, a compiled
-program) runs through one kernel, :func:`rotation_steps` and :func:`apply_steps`;
-the n <= 12 oracle :class:`ExactPropagator` is one ``eigh`` of H's coset blocks,
-which ``to_matrix`` builds from the Pauli terms without the full matrix.
-Spectral states come from :func:`spectral_states` at given times or, on a
-uniform grid, from the phase tables of :func:`spectral_grid_states`.
+program) runs through one kernel, :func:`rotation_steps` and :func:`apply_steps`.
+Every exact path, the n <= 12 oracle :class:`ExactPropagator` and the
+experiments alike, diagonalizes a stack of blocks on ``paulis.cosets`` by
+:func:`hermitian_spectra`, expands its start by :func:`spectral_coeffs` and
+evolves it by :func:`spectral_states` or, on a uniform grid, by the phase
+tables of :func:`spectral_grid_states`.
 
 State vectors are owned exclusively while being evolved; all functions here
 return fresh vectors and may be called concurrently on distinct states.
@@ -26,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .checks import finite, real, same_qubits
-from .paulis import (MATRIX_QUBIT_LIMIT, CapacityError, PauliString, PauliSum, pauli_action,
-                     row_places, to_matrix, x_blocks, x_span)
+from .paulis import (MATRIX_QUBIT_LIMIT, CapacityError, PauliString, PauliSum, cosets,
+                     pauli_action, row_places, to_matrix, x_blocks, x_masks_of)
 
 NORM_TOL = 1e-8
 UNITARITY_TOL = 1e-10
@@ -209,25 +210,19 @@ def apply_pauli_exponential(state: StateVector, p: PauliString, theta: float) ->
 
 
 class ExactPropagator:
-    """Spectral propagator exp(-iHt) for a Hermitian Pauli sum, n <= 12: one
-    batched ``eigh`` of H's blocks on the cosets ``k ^ x_span(x masks of H)``,
-    which H never mixes, built by ``to_matrix(H, cosets)`` without the full
-    matrix.  ``cosets`` holds one row of basis indices per coset (its
+    """Spectral propagator exp(-iHt) for a Hermitian Pauli sum, n <= 12: the
+    :func:`hermitian_spectra` of H's blocks on ``paulis.cosets`` of its x
+    masks, which H never mixes, built by ``to_matrix(H, cosets)`` without the
+    full matrix.  ``cosets`` holds one row of basis indices per coset (its
     smallest first), ``eigenvalues`` (cosets, d), ``eigenvectors`` (cosets, d, d).
     """
 
     def __init__(self, hamiltonian: PauliSum):
-        if not hamiltonian.hermitian(tol=UNITARITY_TOL):
-            raise ValueError("Hamiltonian must be Hermitian")
         self.n = hamiltonian.n
         if self.n > MATRIX_QUBIT_LIMIT:  # before any 2^n array is made
             raise CapacityError(self.n)
-        masks = [x for x, _ in x_blocks(hamiltonian)]
-        k = least = np.arange(2**self.n)
-        for x in masks:  # least[k] becomes the smallest index of k's coset
-            least = np.minimum(least, least[k ^ x])
-        self.cosets = np.flatnonzero(least == k)[:, None] ^ x_span(masks)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(to_matrix(hamiltonian, self.cosets))
+        self.cosets = cosets(x_masks_of(hamiltonian), self.n)
+        self.eigenvalues, self.eigenvectors = hermitian_spectra(to_matrix(hamiltonian, self.cosets))
 
     def evolve(self, state: StateVector, t: float) -> StateVector:
         return StateVector(self.states_at(state, [t])[0], self.n)
@@ -239,11 +234,26 @@ class ExactPropagator:
         times = np.ravel(finite(times, "times"))
         amps = state.amplitudes[self.cosets]
         live = np.flatnonzero(np.any(amps != 0, axis=1))
-        coeffs = np.einsum("cij,ci->cj", self.eigenvectors[live].conj(), amps[live])
+        coeffs = spectral_coeffs(self.eigenvectors[live], amps[live])
         states = spectral_states(self.eigenvalues[live], self.eigenvectors[live], coeffs, times)
         out = np.zeros((len(times), 2**self.n), dtype=complex)
         out[:, self.cosets[live].ravel()] = np.concatenate(states, axis=1)
         return out
+
+
+def hermitian_spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (..., d) and eigenvectors (..., d, d) of a stack of blocks
+    (..., d, d) by one batched ``eigh``, after refusing a block that differs
+    from its adjoint by more than UNITARITY_TOL (or holds a NaN)."""
+    if not np.abs(blocks - np.swapaxes(blocks, -1, -2).conj()).max() <= UNITARITY_TOL:
+        raise ValueError("Hamiltonian must be Hermitian")
+    return np.linalg.eigh(blocks)
+
+
+def spectral_coeffs(eigenvectors: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The coefficients of ``start`` (..., d) in the eigenvectors (..., d, d),
+    shape (..., d); a start of shape (d,) serves every stacked basis."""
+    return np.einsum("...ij,...i->...j", eigenvectors.conj(), start)
 
 
 def spectral_states(eigenvalues: np.ndarray, eigenvectors: np.ndarray,

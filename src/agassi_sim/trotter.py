@@ -144,7 +144,9 @@ def trotter_states_at(state: StateVector, params: ModelParams,
     """Digital states at many times, each reached in n_T steps of its own
     size; shape (len(times), 2^n).  The per-time results are identical to
     ``trotter_evolve`` but the grid is advanced as one batch, by
-    :func:`coset_states` on every index."""
+    :func:`coset_states` on every index.  No experiment calls it: it stays
+    as the public full-space reference that the coset runs are tested
+    against."""
     same_qubits(params.n_qubits, state.n)
     return coset_states(state.amplitudes, None, params, times, n_T)
 

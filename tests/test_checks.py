@@ -1,7 +1,9 @@
 """Input checks: the refusals made through agassi_sim.checks, and a guard that
 keeps every finiteness and qubit-count test in that one module (every
-basis-index popcount in agassi_sim.paulis, and the per-index phase arrays of
-``pauli_action`` in agassi_sim.paulis and agassi_sim.statevector)."""
+basis-index popcount in agassi_sim.paulis, the per-index phase arrays of
+``pauli_action`` in agassi_sim.paulis and agassi_sim.statevector, every coset
+built from ``x_span`` in agassi_sim.paulis, and every ``eigh`` in
+agassi_sim.statevector)."""
 
 from pathlib import Path
 
@@ -85,7 +87,8 @@ def test_refused_with_a_message_naming_the_field(make, message):
 
 
 HOMES = {"isfinite(": ("checks.py",), "qubit counts differ": ("checks.py",),
-         "bitwise_count": ("paulis.py",), "pauli_action": ("paulis.py", "statevector.py")}
+         "bitwise_count": ("paulis.py",), "pauli_action": ("paulis.py", "statevector.py"),
+         "x_span(": ("paulis.py",), "eigh(": ("statevector.py",)}
 
 
 def test_finiteness_and_qubit_count_checks_live_in_checks_only():

@@ -93,8 +93,16 @@ def _runs(draw):
             drawn["j"] = 1  # the sweep runs the j = 1 model
         return drawn
 
-    flags = values([row for row in ROWS if _offers(name, row)])
-    return name, flags, values(ROWS), draw(st.booleans())
+    flags, in_file = values([row for row in ROWS if _offers(name, row)]), values(ROWS)
+    # a pattern needs 4 letters per j of the run it is given to: flags that give
+    # one also give the file's j, and each pattern is repeated or cut to fit
+    if "init" in flags:
+        flags.setdefault("j", in_file.get("j", 1))
+    j = {**in_file, **flags}.get("j", 1)
+    for drawn in (flags, in_file):
+        if "init" in drawn:
+            drawn["init"] = (drawn["init"] * 12)[:4 * j]
+    return name, flags, in_file, draw(st.booleans())
 
 
 class TestOptionTable:

@@ -1,6 +1,7 @@
 """Experiment-runner tests: observables, amplitude extraction, CSV output, CLI."""
 
 import ast
+import dataclasses
 import importlib.util
 import json
 import os
@@ -230,10 +231,10 @@ class TestBatchedSearch:
         default = phase_sweep(cfg).amplitude
         monkeypatch.setattr(experiments, "SEARCH_AMPLITUDES", 3 * GRID_SAMPLES * coset_size(1))
         spectra = []
-        sector_spectra = experiments._sector_spectra
-        monkeypatch.setattr(experiments, "_sector_spectra",
-                            lambda points, *rest: spectra.append(len(points))
-                            or sector_spectra(points, *rest))
+        hermitian_spectra = experiments.hermitian_spectra
+        monkeypatch.setattr(experiments, "hermitian_spectra",
+                            lambda blocks: spectra.append(len(blocks))
+                            or hermitian_spectra(blocks))
         small = phase_sweep(cfg).amplitude
         assert spectra == [3] * 7 + [2]
         assert np.max(np.abs(small - default)) < 1e-14
@@ -340,10 +341,10 @@ class TestBatchedSearch:
         monkeypatch.setattr(experiments, "_coupling_free_blocks",
                             lambda j: (blocks[0] + leak, *blocks[1:]))
         sizes = []
-        sector_spectra = experiments._sector_spectra
-        monkeypatch.setattr(experiments, "_sector_spectra",
-                            lambda points, blocks, *rest: sizes.append(blocks.shape[1:])
-                            or sector_spectra(points, blocks, *rest))
+        hermitian_spectra = experiments.hermitian_spectra
+        monkeypatch.setattr(experiments, "hermitian_spectra",
+                            lambda blocks: sizes.append(blocks.shape[1:])
+                            or hermitian_spectra(blocks))
         sweep = phase_sweep(sweep_cfg(0.2, 0.6, 3))
         assert sizes == [(4, 4)]
         for gv, amp in zip(sweep.control, sweep.amplitude):
@@ -361,10 +362,10 @@ class TestBatchedSearch:
         assert cosets.shape == (2 ** (4 * j) // coset_size(j), coset_size(j))
         assert np.any(cosets == basis_index(start), axis=1).sum() == 1
         sizes = []
-        sector_spectra = experiments._sector_spectra
-        monkeypatch.setattr(experiments, "_sector_spectra",
-                            lambda points, blocks, *rest: sizes.append(blocks.shape[1:])
-                            or sector_spectra(points, blocks, *rest))
+        hermitian_spectra = experiments.hermitian_spectra
+        monkeypatch.setattr(experiments, "hermitian_spectra",
+                            lambda blocks: sizes.append(blocks.shape[1:])
+                            or hermitian_spectra(blocks))
         cfg = ExperimentConfig("survival", params=params)
         assert cfg.initial_state == start
         assert 0.0 <= survival_minimum(cfg) < 1.0
@@ -699,9 +700,18 @@ class TestRun:
         assert ExperimentConfig(experiment="survival", initial_state="udud").initial_state == "udud"
 
     def test_initial_state_length_checked(self):
-        cfg = cfg_for("survival", 0.5, 0.5, initial_state="dd", samples=4)
         with pytest.raises(ValueError):
-            survival_series(cfg)
+            survival_series(cfg_for("survival", 0.5, 0.5, initial_state="dd", samples=4))
+
+    def test_mis_sized_or_misspelt_initial_state_refused_on_construction(self):
+        cfg = ExperimentConfig("survival")
+        with pytest.raises(ValueError, match=r"^initial_state 'dduu' has 4 qubits, j = 2 "
+                                             r"needs 8; pass initial_state=None"):
+            dataclasses.replace(cfg, params=ModelParams(j=2))
+        with pytest.raises(ValueError, match=r"^initial_state 'dxuu': unknown spin label 'x'"):
+            ExperimentConfig("survival", initial_state="dxuu")
+        copy = dataclasses.replace(cfg, params=ModelParams(j=2), initial_state=None)
+        assert copy.initial_state == "dddduuuu"
 
     def test_requires_output_path(self):
         with pytest.raises(ValueError):
@@ -915,6 +925,12 @@ class TestCli:
         out = tmp_path / "new" / "x.csv"
         assert cli_main(["survival", "--init", "dd", "--out", str(out)]) == 2
         assert "qubits" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_initial_state_of_another_j_refused(self, tmp_path, capsys):
+        out = tmp_path / "new" / "x.csv"
+        assert cli_main(["survival", "--j", "2", "--init", "dduu", "--out", str(out)]) == 2
+        assert "initial_state 'dduu' has 4 qubits" in capsys.readouterr().err
         assert not out.parent.exists()
 
     def test_default_initial_state_follows_j(self, tmp_path):

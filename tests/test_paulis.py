@@ -14,6 +14,7 @@ from agassi_sim.paulis import (
     PauliSum,
     annihilation,
     commutator,
+    cosets,
     creation,
     jw_map,
     pauli,
@@ -321,3 +322,30 @@ class TestXSpan:
         assert span[0] == 0 and len(set(span)) == len(span)
         assert set(span) == {a ^ b for a in span for b in span}
         assert set(masks) <= set(span)
+
+
+class TestCosets:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_partition_the_register_each_closed_and_smallest_first(self, rng, n):
+        for count in range(n + 2):
+            masks = [int(x) for x in rng.integers(0, 2**n, size=count)]
+            rows = cosets(masks, n)
+            assert sorted(rows.ravel().tolist()) == list(range(2**n))
+            assert np.array_equal(rows, rows[:, :1] ^ x_span(masks))
+            assert np.all(rows[:, 0] == rows.min(axis=1)) and np.all(np.diff(rows[:, 0]) > 0)
+            for row in rows:
+                assert all(set((row ^ x).tolist()) == set(row.tolist()) for x in masks)
+            seeds = rng.integers(0, 2**n, size=3)
+            held = [row.tolist() for row in rows if np.isin(row, seeds).any()]
+            assert cosets(masks, n, seeds).tolist() == held
+
+    def test_two_seeds_in_one_coset_give_one_row(self):
+        assert cosets([0b0011, 0b1100], 4, [0b0001, 0b1110]).tolist() == [[1, 2, 13, 14]]
+
+    @pytest.mark.parametrize("masks,seeds", [([1], [4]), ([1], [-1]), ([1], [1.0]),
+                                             ([4], None), ([4], [0])],
+                             ids=["seed-too-large", "seed-negative", "seed-float",
+                                  "mask-too-large", "mask-too-large-seeded"])
+    def test_index_outside_the_register_refused(self, masks, seeds):
+        with pytest.raises(ValueError, match=r"\[0, 2\^2\)"):
+            cosets(masks, 2, seeds)

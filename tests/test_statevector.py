@@ -19,7 +19,9 @@ from agassi_sim.statevector import (
     exact_evolve,
     expectation,
     fidelity,
+    hermitian_spectra,
     rotation_steps,
+    spectral_coeffs,
     spectral_grid_states,
     spectral_states,
 )
@@ -295,6 +297,28 @@ class TestStatesAtSkipsEmptyCosets:
             assert evaluated.pop() == live
             assert np.array_equal(got, self.every_coset(prop, state, times))
             assert np.count_nonzero(np.any(got != 0, axis=0)) <= live * prop.cosets.shape[1]
+
+
+class TestSpectralEvaluation:
+    """The one Hermitian check and ``eigh`` of a block stack, and the start's
+    coefficients, shared by ``ExactPropagator`` and the experiments."""
+
+    def test_a_stack_is_diagonalized_per_block_and_one_start_serves_every_block(self, rng):
+        a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        blocks = a + a.conj().swapaxes(1, 2)
+        energies, vectors = hermitian_spectra(blocks)
+        assert np.abs(blocks @ vectors - vectors * energies[:, None, :]).max() < 1e-12
+        start = rng.normal(size=4) + 1j * rng.normal(size=4)
+        coeffs = spectral_coeffs(vectors, start)
+        assert np.array_equal(coeffs, spectral_coeffs(vectors, np.broadcast_to(start, (3, 4))))
+        assert np.abs(coeffs - vectors.conj().swapaxes(1, 2) @ start).max() < 1e-12
+
+    @pytest.mark.parametrize("entry", [1e-9, np.nan], ids=["asymmetric", "nan"])
+    def test_a_non_hermitian_block_is_refused(self, entry):
+        blocks = np.zeros((2, 2, 2), dtype=complex)
+        blocks[1, 0, 1] = entry
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            hermitian_spectra(blocks)
 
 
 class TestGridStates:

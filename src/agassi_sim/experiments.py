@@ -25,14 +25,14 @@ Every pass of the search batches all points of a sweep at once, in slices of
 at most SEARCH_AMPLITUDES amplitudes, and each point keeps its own stopping
 rule.  The exact search evaluates its states by phase tables on each point's
 uniform grid (``statevector.spectral_grid_states``), about 2 sqrt(samples)
-exponentials per eigenvalue instead of samples; the exact time series keep
-``spectral_states`` at their times.
+exponentials per eigenvalue instead of samples; the exact time series are
+evaluated at their times by ``statevector.coset_evolution``, the function
+``statevector.ExactPropagator`` evolves with too.
 
 Every exact run, search and time series alike, evolves on the initial
 state's coset (``paulis.cosets`` of the coupling-free blocks' x masks:
 |dduu> and |uudd> at j = 1, 2^(3j-2) states in general), which H never
-leaves, by the spectral evaluation that ``statevector.ExactPropagator``
-uses too.  The coset and its blocks are built once per start support and set
+leaves.  The coset and its blocks are built once per start support and set
 of blocks, and shared, read-only, by every later run from that start.  Every
 digital run evolves on the same coset, which the Trotter step never leaves
 either, through ``trotter.coset_steps``.
@@ -55,9 +55,9 @@ from .checks import boolean, finite, integer, probability, real, text
 from .ion_compiler import compile_schedule, count_gates, error_budget, sequence_to_text
 from .model import ModelParams, _coupling_free_blocks, coupling_weights, critical_line
 from .paulis import MATRIX_QUBIT_LIMIT, CapacityError, PauliSum, cosets, to_matrix, x_masks_of
-from .statevector import (StateVector, TimeSeries, basis_state, hermitian_spectra,
-                          parse_spin_pattern, spectral_coeffs, spectral_grid_states,
-                          spectral_states)
+from .statevector import (StateVector, TimeSeries, basis_state, coset_evolution,
+                          hermitian_spectra, parse_spin_pattern, spectral_coeffs,
+                          spectral_grid_states)
 from .trotter import build_schedule, coset_states, coset_steps
 
 SATURATION_TOL = 1e-6
@@ -219,9 +219,8 @@ def _exact_states(cfg: ExperimentConfig, times: np.ndarray) -> tuple:
     given times, shape (len(times), d)."""
     initial = basis_state(cfg.initial_state)
     idx, blocks = _coset_blocks(initial, cfg.params.j)
-    energies, vectors = hermitian_spectra(np.tensordot([coupling_weights(cfg.params)], blocks, 1))
-    coeffs = spectral_coeffs(vectors, initial.amplitudes[idx])
-    return initial, idx, spectral_states(energies, vectors, coeffs, times)[0]
+    weighted = np.tensordot(coupling_weights(cfg.params), blocks, 1)
+    return initial, idx, coset_evolution(weighted, initial.amplitudes[idx], times)
 
 
 def _zoom_max(periods: np.ndarray, values_at: Callable, d: int) -> np.ndarray:

@@ -8,10 +8,11 @@ Spin patterns accept the characters ``u``/``d`` or the arrows.
 Pauli strings act as bit-mask index permutations plus per-index phases.  Any
 product of Pauli exponentials (one exponential, a Trotter step, a compiled
 program) runs through one kernel, :func:`rotation_steps` and :func:`apply_steps`.
-Every exact path, the n <= 12 oracle :class:`ExactPropagator` and the
-experiments alike, diagonalizes a stack of blocks on ``paulis.cosets`` by
-:func:`hermitian_spectra`, expands its start by :func:`spectral_coeffs` and
-evolves it by :func:`spectral_states` or, on a uniform grid, by the phase
+Every exact path, :class:`ExactPropagator` (n <= 12, on the cosets a state
+touches) and the experiments' series alike, evolves a stack of blocks on
+``paulis.cosets`` by the one evaluation :func:`coset_evolution`:
+:func:`hermitian_spectra`, :func:`spectral_coeffs`, then :func:`spectral_states`.
+The experiments' search evaluates its spectra on uniform grids by the phase
 tables of :func:`spectral_grid_states`.
 
 State vectors are owned exclusively while being evolved; all functions here
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -210,34 +211,44 @@ def apply_pauli_exponential(state: StateVector, p: PauliString, theta: float) ->
 
 
 class ExactPropagator:
-    """Spectral propagator exp(-iHt) for a Hermitian Pauli sum, n <= 12: the
-    :func:`hermitian_spectra` of H's blocks on ``paulis.cosets`` of its x
-    masks, which H never mixes, built by ``to_matrix(H, cosets)`` without the
-    full matrix.  ``cosets`` holds one row of basis indices per coset (its
-    smallest first), ``eigenvalues`` (cosets, d), ``eigenvectors`` (cosets, d, d).
-    """
+    """Spectral propagator exp(-iHt) for a Hermitian Pauli sum, n <= 12, on
+    ``paulis.cosets`` of H's x masks, which H never mixes; ``cosets`` holds one
+    row of basis indices per coset (its smallest first).  Nothing is
+    diagonalized on construction: ``eigenvalues`` (cosets, d) and
+    ``eigenvectors`` (cosets, d, d), every coset's eigenpairs, are built on
+    first access."""
 
     def __init__(self, hamiltonian: PauliSum):
         self.n = hamiltonian.n
         if self.n > MATRIX_QUBIT_LIMIT:  # before any 2^n array is made
             raise CapacityError(self.n)
+        if not hamiltonian.hermitian(tol=UNITARITY_TOL):
+            raise ValueError("Hamiltonian must be Hermitian")
+        self._hamiltonian = hamiltonian
         self.cosets = cosets(x_masks_of(hamiltonian), self.n)
-        self.eigenvalues, self.eigenvectors = hermitian_spectra(to_matrix(hamiltonian, self.cosets))
+
+    @cached_property
+    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        return hermitian_spectra(to_matrix(self._hamiltonian, self.cosets))
+
+    eigenvalues = property(lambda self: self._spectra[0])
+    eigenvectors = property(lambda self: self._spectra[1])
 
     def evolve(self, state: StateVector, t: float) -> StateVector:
         return StateVector(self.states_at(state, [t])[0], self.n)
 
     def states_at(self, state: StateVector, times: np.ndarray) -> np.ndarray:
         """Amplitudes at many times, shape (len(times), 2^n).  Only the cosets
-        where the state has an amplitude are evolved; the others stay zero."""
+        where the state has an amplitude are evolved, on H's blocks built there
+        by ``to_matrix`` (no full matrix); the others stay zero."""
         same_qubits(self.n, state.n)
         times = np.ravel(finite(times, "times"))
         amps = state.amplitudes[self.cosets]
         live = np.flatnonzero(np.any(amps != 0, axis=1))
-        coeffs = spectral_coeffs(self.eigenvectors[live], amps[live])
-        states = spectral_states(self.eigenvalues[live], self.eigenvectors[live], coeffs, times)
+        rows = self.cosets[live]
+        states = coset_evolution(to_matrix(self._hamiltonian, rows), amps[live], times)
         out = np.zeros((len(times), 2**self.n), dtype=complex)
-        out[:, self.cosets[live].ravel()] = np.concatenate(states, axis=1)
+        out[:, rows.ravel()] = np.concatenate(states, axis=1)
         return out
 
 
@@ -264,6 +275,16 @@ def spectral_states(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
     times (..., T)."""
     phases = np.exp(-1j * (times[..., :, None] * eigenvalues[..., None, :]))
     return (phases * coeffs[..., None, :]) @ np.swapaxes(eigenvectors, -1, -2)
+
+
+def coset_evolution(blocks: np.ndarray, start: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``exp(-i B t) start`` of each block B of a Hermitian stack (..., d, d)
+    at each time, shape (..., len(times), d): the one exact evaluation,
+    :func:`hermitian_spectra`, :func:`spectral_coeffs` and
+    :func:`spectral_states` in turn.  A start of shape (d,) serves every
+    block."""
+    energies, vectors = hermitian_spectra(blocks)
+    return spectral_states(energies, vectors, spectral_coeffs(vectors, start), times)
 
 
 def spectral_grid_states(eigenvalues: np.ndarray, eigenvectors: np.ndarray, coeffs: np.ndarray,

@@ -2,8 +2,8 @@
 keeps every finiteness and qubit-count test in that one module (every
 basis-index popcount in agassi_sim.paulis, the per-index phase arrays of
 ``pauli_action`` in agassi_sim.paulis and agassi_sim.statevector, every coset
-built from ``x_span`` in agassi_sim.paulis, and every ``eigh`` in
-agassi_sim.statevector)."""
+built from ``x_span`` in agassi_sim.paulis, and every ``eigh`` and every
+evaluation by ``spectral_states`` in agassi_sim.statevector)."""
 
 from pathlib import Path
 
@@ -15,7 +15,7 @@ from agassi_sim.experiments import ExperimentConfig
 from agassi_sim.ion_compiler import (MS, GateSequence, GlobalPhase, Rotation, count_gates,
                                      error_budget, simulate_sequence)
 from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian
-from agassi_sim.paulis import pauli
+from agassi_sim.paulis import PauliSum, pauli
 from agassi_sim.statevector import ExactPropagator, apply_pauli_exponential, basis_state
 from agassi_sim.trotter import (build_schedule, coset_states, evolve_schedule,
                                 trotter_evolve, trotter_states_at)
@@ -51,6 +51,9 @@ REFUSALS = {
                            "^n_T must be an integer"),
     "config-list-experiment": (lambda: ExperimentConfig(["survival"]),
                                "^experiment must be a string"),
+    "propagator-non-hermitian": (
+        lambda: ExactPropagator(PauliSum.from_terms([pauli("XY", 1j), pauli("ZZ")])),
+        "^Hamiltonian must be Hermitian$"),
     "states-at-8-on-4": (lambda: _exact().states_at(EIGHT_QUBITS, [0.0, 1.0]),
                          "^qubit counts differ: 4 vs 8"),
     "evolve-8-on-4": (lambda: _exact().evolve(EIGHT_QUBITS, 1.0),
@@ -88,7 +91,8 @@ def test_refused_with_a_message_naming_the_field(make, message):
 
 HOMES = {"isfinite(": ("checks.py",), "qubit counts differ": ("checks.py",),
          "bitwise_count": ("paulis.py",), "pauli_action": ("paulis.py", "statevector.py"),
-         "x_span(": ("paulis.py",), "eigh(": ("statevector.py",)}
+         "x_span(": ("paulis.py",), "eigh(": ("statevector.py",),
+         "spectral_states(": ("statevector.py",)}
 
 
 def test_finiteness_and_qubit_count_checks_live_in_checks_only():

@@ -54,6 +54,36 @@ def oracle_amplitude(eps: float, gv: float) -> float:
     return 1.0 if a >= 0.5 else 4.0 * a * (1.0 - a)
 
 
+def digital_transfer(eps: float, gv: float, times, n_T: int) -> np.ndarray:
+    """Closed-form population moved from |dduu> to |uudd> by n_T first-order
+    steps of dt = t / n_T.  On that coset a step is the SU(2) rotation
+    exp(i a sigma_z) exp(i b sigma_x), a = eps dt and b = (g+V) dt, so with
+    cos(phi) = cos(a) cos(b) the transfer is sin^2(b) sin^2(n_T phi) /
+    (sin^2(a) + cos^2(a) sin^2(b)).  The denominator is sin^2(phi), which
+    vanishes only where sin(a) = sin(b) = 0, and there the transfer is 0."""
+    dt = np.asarray(times, dtype=float) / n_T
+    a, b = eps * dt, gv * dt
+    phi = np.arccos(np.cos(a) * np.cos(b))
+    moved = np.sin(b) ** 2 * np.sin(n_T * phi) ** 2
+    den = np.sin(a) ** 2 + np.cos(a) ** 2 * np.sin(b) ** 2
+    return np.divide(moved, den, out=np.zeros_like(moved), where=den > 0)
+
+
+def digital_oracle_amplitude(eps: float, gv: float, n_T: int) -> float:
+    """The largest 4P(1-P) of :func:`digital_transfer` over two Rabi periods,
+    by a 401-sample grid and six 65-sample zoom passes on the bracket around
+    the best sample, which take its width below 1e-9 at eps = 1."""
+    lo, hi, samples, best = 0.0, 2 * np.pi / np.hypot(eps, gv), 401, -np.inf
+    for _ in range(7):
+        times = np.linspace(lo, hi, samples)
+        moved = digital_transfer(eps, gv, times, n_T)
+        values = 4 * moved * (1 - moved)
+        k = int(np.argmax(values))
+        best = max(best, float(values[k]))
+        lo, hi, samples = times[max(k - 1, 0)], times[min(k + 1, samples - 1)], 65
+    return best
+
+
 def cfg_for(experiment: str, g: float, v: float, **kw) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=experiment,
@@ -499,6 +529,15 @@ class TestExactSeries:
         assert list(steps) == [1, 2, 3, 4, 5]
         assert np.max(np.abs(fids - expected)) < 1e-12
 
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_the_propagator_agrees_with_the_experiments(self, j):
+        cfg = ExperimentConfig("survival", params=ModelParams(g=0.4, V=0.3, j=j))
+        times = np.linspace(0.0, 5.0, 17)
+        initial, idx, states = experiments._exact_states(cfg, times)
+        got = ExactPropagator(build_hamiltonian(cfg.params)).states_at(initial, times)
+        assert np.max(np.abs(got[:, idx] - states)) < 1e-12
+        assert not np.any(np.delete(got, idx, axis=1))
+
     @pytest.mark.parametrize("path", ["propagator", "survival_minimum", "correlation"])
     def test_exact_j3_paths_make_no_full_matrix(self, path):
         # the 4096 x 4096 complex matrix alone would be 268 MB
@@ -603,6 +642,42 @@ class TestDigitalOnTheCoset:
                   for node in ast.walk(loop) if isinstance(node, ast.Call)
                   and getattr(node.func, "id", getattr(node.func, "attr", None)) in per_point]
         assert looped == []
+
+
+class TestDigitalOracle:
+    """The j = 1 digital outputs from |dduu> against the closed form of
+    :func:`digital_transfer`, which shares no code with the schedule, the
+    kernel or the search."""
+
+    @pytest.mark.parametrize("n_T", [1, 5, 10])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_corr_trotter_column_is_4p_1_minus_p(self, seed, n_T):
+        eps, g, v = np.random.default_rng(seed).uniform([0.5, -1.5, -1.5], [2.0, 1.5, 1.5])
+        if seed == 0:
+            v = -g  # g + V = 0, where nothing moves
+        cfg = ExperimentConfig("correlation", params=ModelParams(epsilon=eps, g=g, V=v),
+                               n_T=n_T, samples=201)
+        correlation = EXPERIMENTS["correlation"]
+        columns = dict(zip(correlation.columns, correlation.data(cfg)))
+        moved = digital_transfer(eps, g + v, columns["t"], n_T)
+        assert np.max(np.abs(columns["corr_trotter"] - 4 * moved * (1 - moved))) < 1e-12
+
+    def test_the_7b_mismatch_counts_follow_from_the_oracle(self):
+        controls = np.linspace(0.0, 1.0, 101)
+        exact = [classify_amplitude(oracle_amplitude(1.0, 2 * gv)) for gv in controls]
+        cfg = ExperimentConfig("phase_sweep", n_T=5)
+        assert [classify_amplitude(a) for a in phase_sweep(cfg).amplitude] == exact
+        mismatched = {}
+        for n_T in (5, 6, 8, 10, 12, 15, 18):
+            oracle = [digital_oracle_amplitude(1.0, 2 * gv, n_T) for gv in controls]
+            digital = phase_sweep(dataclasses.replace(cfg, n_T=n_T), trotterized=True).amplitude
+            assert np.max(np.abs(digital - oracle)) < 1e-12
+            labels = [classify_amplitude(a) for a in oracle]
+            assert labels == [classify_amplitude(a) for a in digital]
+            mismatched[n_T] = [round(gv, 2) for gv, e, d in zip(controls, exact, labels) if e != d]
+        assert {n_T: len(gvs) for n_T, gvs in mismatched.items()} == {
+            5: 10, 6: 6, 8: 4, 10: 2, 12: 1, 15: 1, 18: 0}
+        assert mismatched[5] == [0.4, 0.41, 0.42, 0.43, 0.44, 0.45, 0.46, 0.47, 0.48, 0.49]
 
 
 class TestFidelitySeries:

@@ -299,6 +299,30 @@ class TestStatesAtSkipsEmptyCosets:
             assert np.count_nonzero(np.any(got != 0, axis=0)) <= live * prop.cosets.shape[1]
 
 
+class TestLazyPropagator:
+    """Construction diagonalizes nothing; ``states_at`` diagonalizes only the
+    blocks of the cosets a state touches, and ``eigenvalues`` is built on
+    first access."""
+
+    def test_a_basis_state_at_j3_diagonalizes_one_block(self, monkeypatch):
+        checked, decomposed = [], []
+        monkeypatch.setattr(statevector, "hermitian_spectra",
+                            lambda blocks: checked.append(blocks.shape)
+                            or hermitian_spectra(blocks))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda blocks: decomposed.append(blocks.shape) or eigh(blocks))
+        prop = ExactPropagator(build_hamiltonian(ModelParams(g=0.4, V=0.3, j=3)))
+        assert prop.cosets.shape == (32, 128)
+        assert (checked, decomposed) == ([], [])
+        prop.states_at(basis_state("dddddduuuuuu"), np.array([0.0, 1.0]))
+        assert checked == decomposed == [(1, 128, 128)]  # no stack of all 32 cosets
+        assert prop.eigenvalues.shape == (32, 128)
+        assert checked == decomposed == [(1, 128, 128), (32, 128, 128)]
+        assert prop.eigenvectors.shape == (32, 128, 128)
+        assert len(decomposed) == 2  # the pair is built once
+
+
 class TestSpectralEvaluation:
     """The one Hermitian check and ``eigh`` of a block stack, and the start's
     coefficients, shared by ``ExactPropagator`` and the experiments."""

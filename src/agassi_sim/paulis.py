@@ -22,13 +22,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .checks import same_qubits
+from .checks import finite, same_qubits
 
 PRUNE_TOL = 1e-14
 """Coefficients at or below this magnitude are dropped during canonicalization."""
 
 MATRIX_QUBIT_LIMIT = 12
 """Largest qubit count for which dense matrices may be requested."""
+
+# i^k for k = 0..3, Python's own values (signed zeros included), which repeat with period 4
+_I_POWERS = np.array([1j**k for k in range(4)])
 
 # Single-site products: (a, b) -> (phase, c) with a*b = phase*c.
 _LETTER_PRODUCT = {
@@ -131,7 +134,8 @@ class PauliSum:
 
     Canonical form: terms sorted by letters, at most one term per letter
     sequence, no term with ``|coefficient| <= PRUNE_TOL``.  Use
-    :meth:`from_terms` to build one from arbitrary ingredients.
+    :meth:`from_terms` to build one from arbitrary ingredients; it and
+    :meth:`scaled` refuse a coefficient that is not finite.
     """
 
     terms: tuple[PauliString, ...]
@@ -148,12 +152,7 @@ class PauliSum:
         for t in terms:
             same_qubits(t.n, n)
             merged[t.letters] = merged.get(t.letters, 0.0) + t.coefficient
-        kept = tuple(
-            PauliString(c, s)
-            for s, c in sorted(merged.items())
-            if abs(c) > PRUNE_TOL
-        )
-        return cls(kept, n)
+        return cls(_kept(PauliString(c, s) for s, c in sorted(merged.items())), n)
 
     @classmethod
     def zero(cls, n: int) -> "PauliSum":
@@ -215,9 +214,10 @@ class PauliSum:
 
     def scaled(self, factor: complex) -> "PauliSum":
         """Every coefficient times factor; the letters stay sorted and
-        distinct, so only terms at or below PRUNE_TOL are dropped."""
-        terms = (t.scaled(factor) for t in self.terms)
-        return PauliSum(tuple(t for t in terms if abs(t.coefficient) > PRUNE_TOL), self.n)
+        distinct, so only terms at or below PRUNE_TOL are dropped.  A factor
+        or product that is not finite is refused."""
+        finite(abs(factor), "factor")
+        return PauliSum(_kept(t.scaled(factor) for t in self.terms), self.n)
 
     def adjoint(self) -> "PauliSum":
         """Conjugate transpose (strings are Hermitian, so conjugate coefficients)."""
@@ -238,6 +238,13 @@ class PauliSum:
     def __repr__(self):
         body = " + ".join(f"({t.coefficient:.6g})*{t.letters}" for t in self.terms)
         return f"PauliSum[n={self.n}]({body or '0'})"
+
+
+def _kept(terms) -> tuple[PauliString, ...]:
+    """The terms above PRUNE_TOL; a NaN or infinite coefficient is refused
+    with a ``ValueError`` naming its letters."""
+    return tuple(t for t in terms
+                 if finite(abs(t.coefficient), f"coefficient of {t.letters}") > PRUNE_TOL)
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -306,12 +313,12 @@ def jw_map(word: FermionWord, n: int) -> PauliSum:
 
 
 @lru_cache(maxsize=512)
-def pauli_action(letters: str) -> tuple[int, np.ndarray]:
-    """How a unit string acts on the basis: ``(x_mask, phase)`` with
-    ``P|k> = phase[k] |k ^ x_mask>``, where bit ``n - q`` stands for qubit q
-    (qubit 1 is the most significant bit), X and Y flip it, and
-    ``phase[k] = i^n_y (-1)^popcount(k & z_mask)`` with Z and Y in the z
-    mask.  The phase array is read-only and shared by every caller.
+def pauli_masks(letters: str) -> tuple[int, int, int]:
+    """The one Pauli decoder: how a unit string acts on the basis, ``(x_mask,
+    z_mask, n_y)`` with ``P|k> = i^n_y (-1)^popcount(k & z_mask) |k ^
+    x_mask>``, where bit ``n - q`` stands for qubit q (qubit 1 is the most
+    significant bit), X and Y flip it and Z and Y are in the z mask.  It holds
+    no array: :func:`pauli_phases` evaluates the phases on a caller's indices.
     """
     n = len(letters)
     x_mask = z_mask = 0
@@ -321,20 +328,35 @@ def pauli_action(letters: str) -> tuple[int, np.ndarray]:
             x_mask |= bit
         if c in "YZ":
             z_mask |= bit
-    k = np.arange(2**n, dtype=np.int64)
-    phase = 1j ** letters.count("Y") * (1.0 - 2.0 * (np.bitwise_count(k & z_mask) & 1))
-    phase.setflags(write=False)
-    return x_mask, phase
+    return x_mask, z_mask, letters.count("Y")
 
 
-def x_blocks(op: PauliSum) -> tuple[tuple[int, np.ndarray], ...]:
-    """The sum as one permuted diagonal per distinct x mask, ``((x, d_x), ...)``
-    with ``op|k> = sum_x d_x[k] |k ^ x>``."""
-    blocks: dict[int, np.ndarray] = {}
-    for t in op.terms:
-        x_mask, phase = pauli_action(t.letters)
-        blocks[x_mask] = blocks.get(x_mask, 0.0) + t.coefficient * phase
-    return tuple(blocks.items())
+def pauli_phases(strings, index: np.ndarray) -> np.ndarray:
+    """``phases[s, ...] = i^n_y (-1)^popcount(index & z_mask)`` of each string
+    (its letters; the coefficient is ignored) at the integer basis indices
+    ``index`` of any shape, in one numpy pass; shape ``(len(strings),
+    *index.shape)``."""
+    index = np.asarray(index)
+    masks = [pauli_masks(s.letters) for s in strings]
+    shape = (-1,) + (1,) * index.ndim
+    z = np.array([z for _, z, _ in masks], dtype=np.int64).reshape(shape)
+    n_y = np.array([n_y for _, _, n_y in masks], dtype=np.int64).reshape(shape)
+    return _I_POWERS[n_y & 3] * (1.0 - 2.0 * (np.bitwise_count(index & z) & 1))
+
+
+def x_blocks(op: PauliSum, index: np.ndarray | None = None) -> tuple[tuple[int, np.ndarray], ...]:
+    """The sum as one permuted diagonal per distinct x mask, in order of first
+    appearance, ``((x, d_x), ...)`` with ``op|k> = sum_x d_x[k] |k ^ x>``,
+    evaluated at the basis indices ``index`` (``d_x[a]`` belongs to
+    ``index[a]``; None is every index).  Every term's phases come from one
+    :func:`pauli_phases` pass and are summed per mask in term order."""
+    index = np.arange(2**op.n) if index is None else np.asarray(index)
+    group: dict[int, int] = {}
+    owner = np.array([group.setdefault(x, len(group)) for x in x_masks_of(op)], dtype=np.intp)
+    weights = np.array([t.coefficient for t in op.terms]).reshape((-1,) + (1,) * index.ndim)
+    diagonals = np.zeros((len(group),) + index.shape, dtype=complex)
+    np.add.at(diagonals, owner, weights * pauli_phases(op.terms, index))
+    return tuple(zip(group, diagonals))
 
 
 def x_span(x_masks) -> np.ndarray:
@@ -347,10 +369,10 @@ def x_span(x_masks) -> np.ndarray:
     return span
 
 
-def x_masks_of(op: PauliSum) -> list[int]:
-    """The x mask of each term of a sum, in term order, without the phase
-    sums of :func:`x_blocks`."""
-    return [pauli_action(t.letters)[0] for t in op.terms]
+def x_masks_of(op) -> list[int]:
+    """The x mask of each term of a sum (or each string of a sequence), in
+    order, read from :func:`pauli_masks` alone."""
+    return [pauli_masks(t.letters)[0] for t in op]
 
 
 def cosets(x_masks, n: int, seeds=None) -> np.ndarray:
@@ -410,19 +432,19 @@ def to_matrix(op: PauliSum | PauliString, rows: np.ndarray | None = None) -> np.
     their span), as :func:`row_places` checks.  The default, every index in
     order, is the full ``2^n x 2^n`` matrix.
 
-    Guarded at ``n <= MATRIX_QUBIT_LIMIT``.  Each x block of the sum fills
-    one permuted diagonal, ``M[pos[k ^ x], pos[k]] = d_x[k]`` with ``pos[k]``
-    the place of k in its row, so nothing larger than the result is made.
+    Guarded at ``n <= MATRIX_QUBIT_LIMIT``.  Each x block of the sum,
+    evaluated on the rows only, fills one permuted diagonal, ``M[pos[k ^ x],
+    pos[k]] = d_x[k]`` with ``pos[k]`` the place of k in its row, so no
+    array spans all ``2^n`` indices unless the rows do.
     """
     if isinstance(op, PauliString):
         op = PauliSum.from_terms([op])
     if op.n > MATRIX_QUBIT_LIMIT:
         raise CapacityError(op.n)
     rows = np.arange(2**op.n) if rows is None else np.asarray(rows)
-    blocks = x_blocks(op)
-    places = row_places(rows, op.n, [x for x, _ in blocks])
+    places = row_places(rows, op.n, list(dict.fromkeys(x_masks_of(op))))
     flat = rows.reshape(-1, rows.shape[-1])
     out = np.zeros(flat.shape + flat.shape[-1:], dtype=complex)
-    for (_, d), target in zip(blocks, places):
-        np.put_along_axis(out, target.reshape(flat.shape)[:, None], d[flat][:, None], axis=1)
+    for (_, d), target in zip(x_blocks(op, flat), places):
+        np.put_along_axis(out, target.reshape(flat.shape)[:, None], d[:, None], axis=1)
     return out.reshape(rows.shape + rows.shape[-1:])

@@ -5,7 +5,9 @@ significant digit of the basis index, and digit 0 is spin-up (sigma^z = +1),
 so the all-up state is index 0 and |down down up up> is index 0b1100 = 12.
 Spin patterns accept the characters ``u``/``d`` or the arrows.
 
-Pauli strings act as bit-mask index permutations plus per-index phases.  Any
+Pauli strings act as bit-mask index permutations plus per-index phases;
+:mod:`agassi_sim.paulis` decodes each string into masks once and evaluates its
+phases only on the indices in use (``pauli_phases``, ``x_blocks``).  Any
 product of Pauli exponentials (one exponential, a Trotter step, a compiled
 program) runs through one kernel, :func:`rotation_steps` and :func:`apply_steps`.
 Every exact path, :class:`ExactPropagator` (n <= 12, on the cosets a state
@@ -29,7 +31,7 @@ import numpy as np
 
 from .checks import finite, real, same_qubits
 from .paulis import (MATRIX_QUBIT_LIMIT, CapacityError, PauliString, PauliSum, cosets,
-                     pauli_action, row_places, to_matrix, x_blocks, x_masks_of)
+                     pauli_phases, row_places, to_matrix, x_blocks, x_masks_of)
 
 NORM_TOL = 1e-8
 UNITARITY_TOL = 1e-10
@@ -128,8 +130,7 @@ def _rotation_groups(strings: tuple, n: int, rows: tuple | None) -> tuple:
     rates, shares one entry.
     """
     x_masks, members, owner = [], [], []
-    for string in strings:
-        x_mask = pauli_action(string.letters)[0]
+    for string, x_mask in zip(strings, x_masks_of(strings)):
         if not (x_masks and x_masks[-1] == x_mask
                 and all(string.commutes_with(s) for s in members[-1])):
             x_masks.append(x_mask)
@@ -138,7 +139,7 @@ def _rotation_groups(strings: tuple, n: int, rows: tuple | None) -> tuple:
         owner.append(len(x_masks) - 1)
     index = np.arange(2**n) if rows is None else np.array(rows, dtype=np.int64)
     flip = row_places(index, n, x_masks)
-    phases = np.array([pauli_action(s.letters)[1] for s in strings]).reshape(-1, 2**n)[:, index]
+    phases = pauli_phases(strings, index)
     owner = np.array(owner, dtype=np.intp)
     for array in (owner, flip, phases):
         array.setflags(write=False)
@@ -321,13 +322,17 @@ def exact_evolve(state: StateVector, hamiltonian: PauliSum, t: float) -> StateVe
 
 def expectation(state: StateVector, observable: PauliSum) -> float:
     """<state|O|state> for a Hermitian observable, one ``vdot`` per x block,
-    ``sum_x <psi[k ^ x] | d_x[k] psi[k]>``; the tiny imaginary residue of
-    the floating-point sum is discarded."""
+    ``sum_x <psi[k ^ x] | d_x[k] psi[k]>`` over the state's support k, where
+    the blocks are evaluated; the tiny imaginary residue of the
+    floating-point sum is discarded."""
     if not observable.hermitian(tol=UNITARITY_TOL):
         raise ValueError("observable must be Hermitian")
     same_qubits(observable.n, state.n)
-    psi, idx = state.amplitudes, np.arange(2**state.n)
-    return float(np.real(sum(np.vdot(psi[idx ^ x], d * psi) for x, d in x_blocks(observable))))
+    psi = state.amplitudes
+    support = np.flatnonzero(psi)
+    amps = psi[support]
+    return float(np.real(sum(np.vdot(psi[support ^ x], d * amps)
+                             for x, d in x_blocks(observable, support))))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -1,9 +1,9 @@
 """Input checks: the refusals made through agassi_sim.checks, and a guard that
 keeps every finiteness and qubit-count test in that one module (every
-basis-index popcount in agassi_sim.paulis, the per-index phase arrays of
-``pauli_action`` in agassi_sim.paulis and agassi_sim.statevector, every coset
-built from ``x_span`` in agassi_sim.paulis, and every ``eigh`` and every
-evaluation by ``spectral_states`` in agassi_sim.statevector)."""
+basis-index popcount in agassi_sim.paulis, the one Pauli decoder
+``pauli_masks`` in agassi_sim.paulis, every coset built from ``x_span`` in
+agassi_sim.paulis, and every ``eigh`` and every evaluation by
+``spectral_states`` in agassi_sim.statevector)."""
 
 from pathlib import Path
 
@@ -15,7 +15,7 @@ from agassi_sim.experiments import ExperimentConfig
 from agassi_sim.ion_compiler import (MS, GateSequence, GlobalPhase, Rotation, count_gates,
                                      error_budget, simulate_sequence)
 from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian
-from agassi_sim.paulis import PauliSum, pauli
+from agassi_sim.paulis import PauliString, PauliSum, pauli
 from agassi_sim.statevector import ExactPropagator, apply_pauli_exponential, basis_state
 from agassi_sim.trotter import (build_schedule, coset_states, evolve_schedule,
                                 trotter_evolve, trotter_states_at)
@@ -51,6 +51,17 @@ REFUSALS = {
                            "^n_T must be an integer"),
     "config-list-experiment": (lambda: ExperimentConfig(["survival"]),
                                "^experiment must be a string"),
+    "sum-nan-coefficient": (lambda: PauliSum.from_terms([PauliString(float("nan"), "XX")]),
+                            "^coefficient of XX must be finite, got nan"),
+    "sum-inf-coefficient": (lambda: PauliSum.from_terms([pauli("ZI"), pauli("XY", -1j * np.inf)]),
+                            "^coefficient of XY must be finite, got inf"),
+    "sum-scaled-by-nan": (lambda: PauliSum.from_terms([pauli("XX")]).scaled(float("nan")),
+                          "^factor must be finite, got nan"),
+    "sum-scaled-by-inf": (lambda: PauliSum.from_terms([pauli("XX")]) * -np.inf,
+                          "^factor must be finite, got inf"),
+    "sum-scaled-past-the-float-range": (
+        lambda: PauliSum.from_terms([pauli("ZZ", 1e300)]).scaled(1e300),
+        "^coefficient of ZZ must be finite, got inf"),
     "propagator-non-hermitian": (
         lambda: ExactPropagator(PauliSum.from_terms([pauli("XY", 1j), pauli("ZZ")])),
         "^Hamiltonian must be Hermitian$"),
@@ -90,7 +101,7 @@ def test_refused_with_a_message_naming_the_field(make, message):
 
 
 HOMES = {"isfinite(": ("checks.py",), "qubit counts differ": ("checks.py",),
-         "bitwise_count": ("paulis.py",), "pauli_action": ("paulis.py", "statevector.py"),
+         "bitwise_count": ("paulis.py",), "pauli_masks": ("paulis.py",),
          "x_span(": ("paulis.py",), "eigh(": ("statevector.py",),
          "spectral_states(": ("statevector.py",)}
 

@@ -69,6 +69,31 @@ def digital_transfer(eps: float, gv: float, times, n_T: int) -> np.ndarray:
     return np.divide(moved, den, out=np.zeros_like(moved), where=den > 0)
 
 
+def digital_fidelity(eps: float, gv: float, times, n_T: int) -> np.ndarray:
+    """Closed-form fidelity |<exact|digital>|^2 from |dduu> after n_T steps
+    of dt = t / n_T.  With |dduu> the sigma_z = +1 state of its coset, H is
+    -eps sigma_z - (g+V) sigma_x up to a constant, so exp(-iHt) is, up to a
+    phase, U = cos(wt) + i sin(wt) m.sigma with w = hypot(eps, g+V) and m =
+    (g+V, 0, eps) / w.  The step of :func:`digital_transfer`, exp(i a
+    sigma_z) exp(i b sigma_x), is cos(phi) + i v.sigma with v = (cos a sin b,
+    -sin a sin b, sin a cos b) and sin(phi) = |v|, so n_T steps are
+    cos(n_T phi) + i sin(n_T phi) v.sigma / |v|.  Writing U^dag times those
+    steps as w0 + i u.sigma, the fidelity is w0^2 + u_z^2."""
+    t = np.asarray(times, dtype=float)  # 1-d
+    a, b = eps * t / n_T, gv * t / n_T
+    v = np.array([np.cos(a) * np.sin(b), -np.sin(a) * np.sin(b), np.sin(a) * np.cos(b)])
+    size = np.linalg.norm(v, axis=0)
+    phi = np.arctan2(size, np.cos(a) * np.cos(b))
+    # sin(n_T phi) v / |v|, which is 0 where v is
+    steps = v * np.divide(np.sin(n_T * phi), size, out=np.zeros_like(size), where=size > 0)
+    w = np.hypot(eps, gv)
+    rotation = np.sin(w * t) * np.array([gv, 0.0, eps])[:, None] / w
+    w0 = np.cos(w * t) * np.cos(n_T * phi) + np.sum(rotation * steps, axis=0)
+    u_z = (np.cos(w * t) * steps[2] - np.cos(n_T * phi) * rotation[2]
+           + rotation[0] * steps[1] - rotation[1] * steps[0])
+    return w0**2 + u_z**2
+
+
 def digital_oracle_amplitude(eps: float, gv: float, n_T: int) -> float:
     """The largest 4P(1-P) of :func:`digital_transfer` over two Rabi periods,
     by a 401-sample grid and six 65-sample zoom passes on the bracket around
@@ -487,6 +512,24 @@ class TestCosetCache:
         info = experiments._support_blocks.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
+    def test_j4_masks_and_coset_blocks_make_no_array_per_string(self):
+        # traced bytes, not ru_maxrss, which a child inherits from this process;
+        # a 2^16 phase array per string made x_masks_of alone peak at about 444 MB
+        fresh_interpreter(
+            "import tracemalloc\n"
+            "from agassi_sim.model import _coupling_free_blocks\n"
+            "from agassi_sim.paulis import cosets, x_blocks, x_masks_of\n"
+            "from agassi_sim.statevector import basis_index\n"
+            "free = _coupling_free_blocks(4)\n"
+            "tracemalloc.start()\n"
+            "masks = [x for block in free for x in x_masks_of(block)]\n"
+            "assert tracemalloc.get_traced_memory()[1] < 20e6, tracemalloc.get_traced_memory()\n"
+            "row = cosets(masks, 16, [basis_index('d' * 8 + 'u' * 8)])[0]\n"
+            "assert len(row) == 1024\n"
+            "tracemalloc.reset_peak()\n"
+            "blocks = [x_blocks(block, row) for block in free]\n"
+            "assert tracemalloc.get_traced_memory()[1] < 100e6, tracemalloc.get_traced_memory()\n")
+
     def test_cli_import_leaves_yaml_unloaded(self):
         fresh_interpreter("import agassi_sim.cli, sys; assert 'yaml' not in sys.modules")
 
@@ -544,7 +587,8 @@ class TestExactSeries:
         params = ModelParams(g=0.3, V=0.2, j=3)
         h = build_hamiltonian(params)
         make = {
-            "propagator": lambda: ExactPropagator(h),
+            "propagator": lambda: ExactPropagator(h).states_at(basis_state("dddddduuuuuu"),
+                                                            np.linspace(0.0, 10.0, 401)),
             "survival_minimum": lambda: survival_minimum(ExperimentConfig("survival",
                                                                           params=params)),
             "correlation": lambda: correlation_series(
@@ -661,6 +705,24 @@ class TestDigitalOracle:
         columns = dict(zip(correlation.columns, correlation.data(cfg)))
         moved = digital_transfer(eps, g + v, columns["t"], n_T)
         assert np.max(np.abs(columns["corr_trotter"] - 4 * moved * (1 - moved))) < 1e-12
+
+    @pytest.mark.parametrize("n_T", [1, 5, 10])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fidelity_outputs_are_the_closed_form(self, seed, n_T):
+        eps, g, v = np.random.default_rng(seed).uniform([0.5, -1.5, -1.5], [2.0, 1.5, 1.5])
+        if seed == 0:
+            v = -g  # g + V = 0: nothing couples, and the fidelity is 1
+        params = ModelParams(epsilon=eps, g=g, V=v)
+        series = fidelity_time_series(
+            ExperimentConfig("fidelity_vs_time", params=params, n_T=n_T, samples=201))
+        expected = digital_fidelity(eps, g + v, series.times, n_T)
+        assert np.max(np.abs(series.values - expected)) < 1e-12
+        cfg = ExperimentConfig("fidelity_vs_nT", params=params, n_T=n_T)
+        steps, fids = fidelity_vs_steps(cfg)
+        t_final = default_t_final(cfg)
+        expected = [digital_fidelity(eps, g + v, [t_final], int(m))[0] for m in steps]
+        assert list(steps) == list(range(1, n_T + 1))
+        assert np.max(np.abs(fids - expected)) < 1e-12
 
     def test_the_7b_mismatch_counts_follow_from_the_oracle(self):
         controls = np.linspace(0.0, 1.0, 101)

@@ -19,6 +19,7 @@ from agassi_sim.paulis import (
     jw_map,
     pauli,
     to_matrix,
+    x_blocks,
     x_span,
 )
 
@@ -308,6 +309,37 @@ class TestToMatrixOnRows:
     def test_index_outside_the_register_refused(self, rows):
         with pytest.raises(ValueError, match=r"outside \[0, 2\^1\)"):
             to_matrix(pauli("Z"), rows)
+
+
+def _sums_and_indices(n: int):
+    """A random sum on n qubits and random basis indices, repeats allowed."""
+    term = st.tuples(st.text("IXYZ", min_size=n, max_size=n), st.floats(-2, 2), st.floats(-2, 2))
+    return st.tuples(st.just(n), st.lists(term, max_size=8),
+                     st.lists(st.integers(0, 2**n - 1), max_size=12))
+
+
+class TestXBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(_sums_and_indices))
+    def test_on_an_index_equals_every_index_restricted_to_it(self, case):
+        n, entries, index = case
+        op = PauliSum.from_terms([PauliString(complex(a, b), s) for s, a, b in entries], n)
+        full = x_blocks(op)
+        assert all(d.shape == (2**n,) for _, d in full)
+        for shape in ((-1,), (1, -1)):
+            on = np.array(index, dtype=np.int64).reshape(shape)
+            blocks = x_blocks(op, on)
+            assert [x for x, _ in blocks] == [x for x, _ in full]
+            for (_, d), (_, d_full) in zip(blocks, full):
+                assert d.shape == on.shape and d.tobytes() == d_full[on].tobytes()
+
+    def test_masks_in_order_of_first_appearance_each_summed(self):
+        op = PauliSum.from_terms([pauli("ZX", 0.5), pauli("IX", 2.0), pauli("XI"), pauli("ZZ")])
+        # the terms are sorted IX, XI, ZX, ZZ
+        blocks = x_blocks(op, np.array([0, 3]))
+        assert [x for x, _ in blocks] == [0b01, 0b10, 0b00]
+        assert np.array_equal(blocks[0][1], [2.5, 1.5])  # IX + ZX at |00> and |11>
+        assert np.array_equal(blocks[2][1], [1.0, 1.0])
 
 
 class TestXSpan:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from agassi_sim import statevector
 from agassi_sim.model import ModelParams, build_hamiltonian
-from agassi_sim.paulis import CapacityError, PauliSum, pauli, pauli_action, to_matrix, x_span
+from agassi_sim.paulis import (CapacityError, PauliSum, cosets, pauli, pauli_masks, pauli_phases,
+                               to_matrix, x_masks_of, x_span)
 from agassi_sim.statevector import (
     ExactPropagator,
     StateVector,
@@ -410,6 +411,18 @@ class TestObservables:
         assert expectation(StateVector(amps, n), observable) == pytest.approx(
             expected.real, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_state_on_one_coset_matches_the_dense_vdot(self, seed):
+        rng = np.random.default_rng(seed)
+        g, v = rng.uniform(-1.0, 1.0, size=2)
+        h = build_hamiltonian(ModelParams(g=g, V=v, j=2))
+        row = cosets(x_masks_of(h), 8, [basis_index("dddduuuu")])[0]
+        amps = np.zeros(2**8, dtype=complex)
+        amps[row] = rng.normal(size=len(row)) + 1j * rng.normal(size=len(row))
+        amps /= np.linalg.norm(amps)
+        expected = np.vdot(amps, dense_sum(h) @ amps).real
+        assert abs(expectation(StateVector(amps, 8), h) - expected) < 1e-15
+
 
 class TestRotationKernel:
     """A layer run by rotation_steps/apply_steps equals the ordered product
@@ -491,8 +504,7 @@ class TestRotationKernelCache:
         new = tuple(zip(strings, (b for _, _, b in entries)))
         dts = np.array([0.0, 0.37, -1.1])
         rng = np.random.default_rng(seed)
-        rows = rng.permutation(int(rng.integers(2**n)) ^ x_span(
-            [pauli_action(s.letters)[0] for s in strings]))
+        rows = rng.permutation(int(rng.integers(2**n)) ^ x_span(x_masks_of(strings)))
 
         def factors(steps):
             return [np.asarray(f).tobytes() for step in steps for f in step]
@@ -536,19 +548,22 @@ class TestWideRegisters:
     checks use the site-by-site rule, never a dense matrix (n > 12)."""
 
     @pytest.mark.parametrize("n", [17, 20])
-    def test_pauli_action_matches_site_by_site(self, rng, n):
+    def test_pauli_masks_match_site_by_site(self, rng, n):
         samples = np.concatenate([
             [1 << 16, 1 << (n - 1), (1 << n) - 1, (1 << 16) | 1],
             rng.integers(0, 2**n, size=300),
         ])
-        for letters in ["Z" + "I" * (n - 1), random_letters(rng, n, "Y"),
-                        random_letters(rng, n, "Z")]:
-            x_mask, phase = pauli_action(letters)
-            assert phase.shape == (2**n,)
-            for k in samples:
-                target, expected = site_by_site(letters, int(k))
+        strings = [pauli(letters) for letters in ["Z" + "I" * (n - 1), random_letters(rng, n, "Y"),
+                                                  random_letters(rng, n, "Z")]]
+        # phases on the samples only: no array of 2^n entries
+        phases = pauli_phases(strings, samples)
+        assert phases.shape == (len(strings), len(samples))
+        for string, row in zip(strings, phases):
+            x_mask, _, _ = pauli_masks(string.letters)
+            for k, phase in zip(samples, row):
+                target, expected = site_by_site(string.letters, int(k))
                 assert int(k) ^ x_mask == target
-                assert abs(phase[k] - expected) < 1e-15
+                assert abs(phase - expected) < 1e-15
 
     @pytest.mark.parametrize("n", [17, 20])
     def test_expectation_matches_site_by_site(self, rng, n):

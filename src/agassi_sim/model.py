@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .checks import finite, integer, real
-from .paulis import PauliString, PauliSum, FermionWord, jw_map
+from .paulis import PauliString, PauliSum, FermionWord, jw_map, pauli_letters
 
 SYMMETRIC_PHASE = "SP"
 BROKEN_SYMMETRY_PHASE = "BSP"
@@ -161,11 +161,13 @@ def build_hamiltonian(params: ModelParams) -> PauliSum:
     as one weighted merge of the three coupling-free blocks.
 
     The identity component (a constant energy offset, -g/2 at j=1) is
-    removed so that the result coincides with the j=1 split form.
+    dropped before the merge so that the result coincides with the j=1
+    split form.
     """
+    ident = "I" * params.n_qubits
     blocks = zip(_coupling_free_blocks(params.j), coupling_weights(params))
-    h = PauliSum.from_terms((t.scaled(w) for block, w in blocks for t in block), params.n_qubits)
-    return h.without_identity()
+    return PauliSum.from_terms((t.scaled(w) for block, w in blocks for t in block
+                                if t.letters != ident), params.n_qubits)
 
 
 @dataclass(frozen=True)
@@ -186,10 +188,7 @@ class SplitHamiltonian:
 
 
 def _z_string(n: int, *qubits: int) -> str:
-    letters = ["I"] * n
-    for q in qubits:
-        letters[q - 1] = "Z"
-    return "".join(letters)
+    return pauli_letters(0, sum(1 << (n - q) for q in set(qubits)), n)
 
 
 @lru_cache(maxsize=128)

@@ -10,6 +10,10 @@ Conventions used throughout the package:
   ``i`` maps to ``sigma^-_i`` followed by a string of ``Z`` on all higher
   modes ``i+1..n`` (trailing-Z convention); the creation operator is the
   conjugate.  Mode occupation therefore corresponds to spin-up.
+* What a letter means is said in one place, the decoder :func:`pauli_masks`,
+  ``P = i^n_y X^x Z^z`` on bit masks, and its inverse :func:`pauli_letters`.
+  Products and commutation are read from the masks (Aaronson and Gottesman,
+  PRA 70, 052328 (2004)); no table of letter products exists.
 
 All values are immutable; every operation is a pure function, so the types
 are safe to share between threads.
@@ -22,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .checks import finite, same_qubits
+from .checks import finite, same_qubits, text
 
 PRUNE_TOL = 1e-14
 """Coefficients at or below this magnitude are dropped during canonicalization."""
@@ -32,26 +36,6 @@ MATRIX_QUBIT_LIMIT = 12
 
 # i^k for k = 0..3, Python's own values (signed zeros included), which repeat with period 4
 _I_POWERS = np.array([1j**k for k in range(4)])
-
-# Single-site products: (a, b) -> (phase, c) with a*b = phase*c.
-_LETTER_PRODUCT = {
-    ("I", "I"): (1.0, "I"),
-    ("I", "X"): (1.0, "X"),
-    ("I", "Y"): (1.0, "Y"),
-    ("I", "Z"): (1.0, "Z"),
-    ("X", "I"): (1.0, "X"),
-    ("Y", "I"): (1.0, "Y"),
-    ("Z", "I"): (1.0, "Z"),
-    ("X", "X"): (1.0, "I"),
-    ("Y", "Y"): (1.0, "I"),
-    ("Z", "Z"): (1.0, "I"),
-    ("X", "Y"): (1.0j, "Z"),
-    ("Y", "X"): (-1.0j, "Z"),
-    ("Y", "Z"): (1.0j, "X"),
-    ("Z", "Y"): (-1.0j, "X"),
-    ("Z", "X"): (1.0j, "Y"),
-    ("X", "Z"): (-1.0j, "Y"),
-}
 
 
 class CapacityError(ValueError):
@@ -73,7 +57,7 @@ class PauliString:
     letters: str
 
     def __post_init__(self):
-        bad = set(self.letters) - set("IXYZ")
+        bad = set(text(self.letters, "letters")) - set("IXYZ")
         if bad:
             raise ValueError(f"invalid Pauli letters {sorted(bad)}")
         object.__setattr__(self, "coefficient", complex(self.coefficient))
@@ -88,16 +72,17 @@ class PauliString:
         return sum(1 for c in self.letters if c != "I")
 
     def __mul__(self, other: "PauliString") -> "PauliString":
+        """The product, read from both strings' masks: ``P = i^n_y X^x Z^z``
+        per site, so ``P1 P2 = i^(y1 + y2) (-1)^popcount(z1 & x2) X^(x1 ^ x2)
+        Z^(z1 ^ z2)``, and the product's own ``n_y`` is ``popcount(x & z)``."""
         if not isinstance(other, PauliString):
             return NotImplemented
-        same_qubits(self.n, other.n)
-        phase = 1.0 + 0.0j
-        out = []
-        for a, b in zip(self.letters, other.letters):
-            p, c = _LETTER_PRODUCT[(a, b)]
-            phase *= p
-            out.append(c)
-        return PauliString(self.coefficient * other.coefficient * phase, "".join(out))
+        n = same_qubits(self.n, other.n)
+        x1, z1, y1 = pauli_masks(self.letters)
+        x2, z2, y2 = pauli_masks(other.letters)
+        x, z = x1 ^ x2, z1 ^ z2
+        phase = 1j ** ((y1 + y2 - (x & z).bit_count() + 2 * (z1 & x2).bit_count()) & 3)
+        return PauliString(self.coefficient * other.coefficient * phase, pauli_letters(x, z, n))
 
     def __neg__(self) -> "PauliString":
         return PauliString(-self.coefficient, self.letters)
@@ -110,14 +95,11 @@ class PauliString:
         return PauliString(1.0, self.letters)
 
     def commutes_with(self, other: "PauliString") -> bool:
-        """True when the strings commute (even number of clashing sites)."""
+        """True when the strings commute: ``popcount(x1 & z2 ^ z1 & x2)`` is even."""
         same_qubits(self.n, other.n)
-        clashes = sum(
-            1
-            for a, b in zip(self.letters, other.letters)
-            if a != "I" and b != "I" and a != b
-        )
-        return clashes % 2 == 0
+        x1, z1, _ = pauli_masks(self.letters)
+        x2, z2, _ = pauli_masks(other.letters)
+        return ((x1 & z2) ^ (z1 & x2)).bit_count() % 2 == 0
 
     def __repr__(self):
         return f"PauliString({self.coefficient!r}, {self.letters!r})"
@@ -134,12 +116,17 @@ class PauliSum:
 
     Canonical form: terms sorted by letters, at most one term per letter
     sequence, no term with ``|coefficient| <= PRUNE_TOL``.  Use
-    :meth:`from_terms` to build one from arbitrary ingredients; it and
-    :meth:`scaled` refuse a coefficient that is not finite.
+    :meth:`from_terms` to build one from arbitrary ingredients.  Every
+    construction, direct or not, refuses a coefficient that is not finite
+    with a ``ValueError`` naming its letters.
     """
 
     terms: tuple[PauliString, ...]
     n: int
+
+    def __post_init__(self):
+        for t in self.terms:
+            finite(abs(t.coefficient), f"coefficient of {t.letters}")
 
     @classmethod
     def from_terms(cls, terms, n: int | None = None) -> "PauliSum":
@@ -241,10 +228,8 @@ class PauliSum:
 
 
 def _kept(terms) -> tuple[PauliString, ...]:
-    """The terms above PRUNE_TOL; a NaN or infinite coefficient is refused
-    with a ``ValueError`` naming its letters."""
-    return tuple(t for t in terms
-                 if finite(abs(t.coefficient), f"coefficient of {t.letters}") > PRUNE_TOL)
+    """The terms not at or below PRUNE_TOL; a NaN is kept, for the sum to refuse."""
+    return tuple(t for t in terms if not abs(t.coefficient) <= PRUNE_TOL)
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -284,15 +269,12 @@ def creation(mode: int) -> FermionWord:
 
 def _jw_factor(mode: int, dagger: bool, n: int) -> PauliSum:
     # c_i -> 1/2 (X - iY)_i tensor Z_{i+1..n};  c_i^dag the conjugate.
-    x = ["I"] * n
-    x[mode - 1] = "X"
-    for k in range(mode, n):
-        x[k] = "Z"
-    y = list(x)
-    y[mode - 1] = "Y"
+    # Qubit i is bit n - i, so the Z string fills the bits below it.
+    bit = 1 << (n - mode)
     ycoeff = 0.5j if dagger else -0.5j
     return PauliSum.from_terms(
-        [PauliString(0.5, "".join(x)), PauliString(ycoeff, "".join(y))], n
+        [PauliString(0.5, pauli_letters(bit, bit - 1, n)),
+         PauliString(ycoeff, pauli_letters(bit, bit | (bit - 1), n))], n
     )
 
 
@@ -329,6 +311,13 @@ def pauli_masks(letters: str) -> tuple[int, int, int]:
         if c in "YZ":
             z_mask |= bit
     return x_mask, z_mask, letters.count("Y")
+
+
+def pauli_letters(x_mask: int, z_mask: int, n: int) -> str:
+    """The n letters of the unit string with these masks, the inverse of
+    :func:`pauli_masks`: a bit in x alone is X, in z alone Z, in both Y."""
+    return "".join(["IXZY"[(x_mask >> k & 1) | (z_mask >> k & 1) << 1]
+                    for k in range(n - 1, -1, -1)])
 
 
 def pauli_phases(strings, index: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Input checks: the refusals made through agassi_sim.checks, and a guard that
 keeps every finiteness and qubit-count test in that one module (every
-basis-index popcount in agassi_sim.paulis, the one Pauli decoder
-``pauli_masks`` in agassi_sim.paulis, every coset built from ``x_span`` in
-agassi_sim.paulis, and every ``eigh`` and every evaluation by
-``spectral_states`` in agassi_sim.statevector)."""
+basis-index popcount and every mask popcount of the string algebra in
+agassi_sim.paulis, the one Pauli decoder ``pauli_masks`` in agassi_sim.paulis,
+every coset built from ``x_span`` in agassi_sim.paulis, and every ``eigh`` and
+every evaluation by ``spectral_states`` in agassi_sim.statevector)."""
 
 from pathlib import Path
 
@@ -55,6 +55,14 @@ REFUSALS = {
                             "^coefficient of XX must be finite, got nan"),
     "sum-inf-coefficient": (lambda: PauliSum.from_terms([pauli("ZI"), pauli("XY", -1j * np.inf)]),
                             "^coefficient of XY must be finite, got inf"),
+    "sum-direct-nan-coefficient": (lambda: PauliSum((PauliString(float("nan"), "XX"),), 2),
+                                   "^coefficient of XX must be finite, got nan"),
+    "sum-direct-inf-coefficient": (lambda: PauliSum((pauli("ZI"), pauli("XY", np.inf)), 2),
+                                   "^coefficient of XY must be finite, got inf"),
+    "string-list-letters": (lambda: PauliString(1.0, ["X", "Z"]),
+                            r"^letters must be a string, got \['X', 'Z'\]"),
+    "string-tuple-letters": (lambda: PauliString(1.0, ("X", "Z")),
+                             r"^letters must be a string, got \('X', 'Z'\)"),
     "sum-scaled-by-nan": (lambda: PauliSum.from_terms([pauli("XX")]).scaled(float("nan")),
                           "^factor must be finite, got nan"),
     "sum-scaled-by-inf": (lambda: PauliSum.from_terms([pauli("XX")]) * -np.inf,
@@ -101,7 +109,8 @@ def test_refused_with_a_message_naming_the_field(make, message):
 
 
 HOMES = {"isfinite(": ("checks.py",), "qubit counts differ": ("checks.py",),
-         "bitwise_count": ("paulis.py",), "pauli_masks": ("paulis.py",),
+         "bitwise_count": ("paulis.py",), "bit_count(": ("paulis.py",),
+         "pauli_masks": ("paulis.py",),
          "x_span(": ("paulis.py",), "eigh(": ("statevector.py",),
          "spectral_states(": ("statevector.py",)}
 

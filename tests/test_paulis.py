@@ -1,5 +1,6 @@
 """Pauli-string algebra and Jordan-Wigner mapping tests."""
 
+import itertools
 import pickle
 
 import numpy as np
@@ -18,6 +19,8 @@ from agassi_sim.paulis import (
     creation,
     jw_map,
     pauli,
+    pauli_letters,
+    pauli_masks,
     to_matrix,
     x_blocks,
     x_span,
@@ -80,6 +83,46 @@ class TestMultiply:
     def test_associative(self, triple):
         a, b, c = (pauli(s) for s in triple)
         assert ((a * b) * c) == (a * (b * c))
+
+
+SMALL_STRINGS = ["".join(s) for n in (1, 2, 3) for s in itertools.product("IXYZ", repeat=n)]
+
+
+def site_product(a: str, b: str) -> tuple[complex, str]:
+    """The phase p and letter c with ``a b = p c``, from the 2 x 2 matrices."""
+    m = dense_string(a) @ dense_string(b)
+    return next((p, c) for c in "IXYZ" for p in (1, 1j, -1, -1j)
+                if np.array_equal(m, p * dense_string(c)))
+
+
+class TestMaskAlgebra:
+    """Products and commutation read from the masks of ``pauli_masks``."""
+
+    def test_every_small_pair_is_the_dense_product(self):
+        dense = {s: dense_string(s) for s in SMALL_STRINGS}
+        for a, b in itertools.product(SMALL_STRINGS, repeat=2):
+            if len(a) != len(b):
+                continue
+            prod = pauli(a) * pauli(b)
+            ab, ba = dense[a] @ dense[b], dense[b] @ dense[a]
+            assert np.array_equal(dense_string(prod.letters, prod.coefficient), ab), (a, b)
+            assert pauli(a).commutes_with(pauli(b)) == np.array_equal(ab, ba), (a, b)
+
+    def test_seventy_qubits_match_the_site_by_site_products(self, rng):
+        # masks past 64 bits are Python ints; no dense matrix at this size
+        for _ in range(20):
+            a, b = ("".join(rng.choice(list("IXYZ"), size=70)) for _ in range(2))
+            sites = [site_product(p, q) for p, q in zip(a, b)]
+            prod = pauli(a, 0.5) * pauli(b, -2j)
+            assert prod.letters == "".join(c for _, c in sites)
+            assert prod.coefficient == -1j * np.prod([p for p, _ in sites])
+            clashes = sum(site_product(p, q) != site_product(q, p) for p, q in zip(a, b))
+            assert pauli(a).commutes_with(pauli(b)) == (clashes % 2 == 0)
+
+    def test_letters_invert_the_masks(self, rng):
+        wide = "".join(rng.choice(list("IXYZ"), size=70))
+        for s in [*SMALL_STRINGS, wide]:
+            assert pauli_letters(*pauli_masks(s)[:2], len(s)) == s
 
 
 class TestCanonicalForm:

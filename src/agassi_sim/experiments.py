@@ -64,7 +64,8 @@ SATURATION_TOL = 1e-6
 """An amplitude within this distance of 1 counts as saturated (broken phase)."""
 
 MAX_AMPLITUDES = 2**24
-"""Largest time grid accepted, counted as samples * 2^n amplitudes (256 MiB)."""
+"""Largest time grid accepted, counted as samples * 2^n amplitudes (256 MiB),
+and largest phase sweep, counted as sweep_points * 2^n."""
 
 GRID_SAMPLES = 401
 """Times of the first search pass, spanning two Rabi periods."""
@@ -141,12 +142,14 @@ class ExperimentConfig:
         boolean(self.trotter, "trotter")
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
             raise ValueError(f"out must be a string or a path, got {self.out!r}")
-        size = self.samples * 2**self.params.n_qubits
-        if size > MAX_AMPLITUDES:
-            raise ValueError(
-                f"samples * 2^n = {self.samples} * 2^{self.params.n_qubits} = {size} "
-                f"amplitudes exceeds the limit of {MAX_AMPLITUDES}"
-            )
+        n = self.params.n_qubits
+        # the phase sweep holds one ModelParams and one coset spectrum per point
+        sized = ("samples", "sweep_points") if self.experiment == "phase_sweep" else ("samples",)
+        for name in sized:
+            count = getattr(self, name)
+            if count * 2**n > MAX_AMPLITUDES:
+                raise ValueError(f"{name} * 2^n = {count} * 2^{n} = {count * 2**n} "
+                                 f"amplitudes exceeds the limit of {MAX_AMPLITUDES}")
         if self.experiment == "phase_sweep" and self.params.j != 1:
             raise ValueError(f"the phase sweep runs the j = 1 model, got j = {self.params.j}")
         if not self.sweep_start < self.sweep_stop:

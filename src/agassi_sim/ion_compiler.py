@@ -113,6 +113,11 @@ class GateSequence:
     def __post_init__(self):
         integer(self.n_qubits, "n_qubits", 0)
         integer(self.n_steps, "n_steps", 1)
+        if not isinstance(self.step, tuple):
+            raise ValueError(f"step must be a tuple of gates, got {self.step!r}")
+        for gate in self.step:
+            if not isinstance(gate, NativeGate):
+                raise ValueError(f"step entry {gate!r} is not a Rotation, MS or GlobalPhase")
         top = _highest_ion(self.step)
         if top > self.n_qubits:
             raise ValueError(f"gate qubit {top} exceeds n_qubits={self.n_qubits}")

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .checks import finite, same_qubits, text
+from .checks import finite, integer, same_qubits, text
 
 PRUNE_TOL = 1e-14
 """Coefficients at or below this magnitude are dropped during canonicalization."""
@@ -285,6 +285,7 @@ def jw_map(word: FermionWord, n: int) -> PauliSum:
     with its trailing Z string; the factors are multiplied in written order
     and returned canonically.
     """
+    integer(n, "n", 0)
     for mode, _ in word.factors:
         if not 1 <= mode <= n:
             raise ValueError(f"mode {mode} outside 1..{n}")
@@ -331,21 +332,6 @@ def pauli_phases(strings, index: np.ndarray) -> np.ndarray:
     z = np.array([z for _, z, _ in masks], dtype=np.int64).reshape(shape)
     n_y = np.array([n_y for _, _, n_y in masks], dtype=np.int64).reshape(shape)
     return _I_POWERS[n_y & 3] * (1.0 - 2.0 * (np.bitwise_count(index & z) & 1))
-
-
-def x_blocks(op: PauliSum, index: np.ndarray | None = None) -> tuple[tuple[int, np.ndarray], ...]:
-    """The sum as one permuted diagonal per distinct x mask, in order of first
-    appearance, ``((x, d_x), ...)`` with ``op|k> = sum_x d_x[k] |k ^ x>``,
-    evaluated at the basis indices ``index`` (``d_x[a]`` belongs to
-    ``index[a]``; None is every index).  Every term's phases come from one
-    :func:`pauli_phases` pass and are summed per mask in term order."""
-    index = np.arange(2**op.n) if index is None else np.asarray(index)
-    group: dict[int, int] = {}
-    owner = np.array([group.setdefault(x, len(group)) for x in x_masks_of(op)], dtype=np.intp)
-    weights = np.array([t.coefficient for t in op.terms]).reshape((-1,) + (1,) * index.ndim)
-    diagonals = np.zeros((len(group),) + index.shape, dtype=complex)
-    np.add.at(diagonals, owner, weights * pauli_phases(op.terms, index))
-    return tuple(zip(group, diagonals))
 
 
 def x_span(x_masks) -> np.ndarray:
@@ -421,19 +407,27 @@ def to_matrix(op: PauliSum | PauliString, rows: np.ndarray | None = None) -> np.
     their span), as :func:`row_places` checks.  The default, every index in
     order, is the full ``2^n x 2^n`` matrix.
 
-    Guarded at ``n <= MATRIX_QUBIT_LIMIT``.  Each x block of the sum,
-    evaluated on the rows only, fills one permuted diagonal, ``M[pos[k ^ x],
-    pos[k]] = d_x[k]`` with ``pos[k]`` the place of k in its row, so no
-    array spans all ``2^n`` indices unless the rows do.
+    Guarded at ``n <= MATRIX_QUBIT_LIMIT``.  One :func:`pauli_phases` pass on
+    the rows gives every term's ``coefficient * phase[k]``, scattered to
+    ``M[pos[k ^ x], pos[k]]`` (``pos[k]`` the place of k in its row) for all
+    terms at once, in term order, so no array spans all ``2^n`` indices
+    unless the rows do.
     """
     if isinstance(op, PauliString):
         op = PauliSum.from_terms([op])
     if op.n > MATRIX_QUBIT_LIMIT:
         raise CapacityError(op.n)
     rows = np.arange(2**op.n) if rows is None else np.asarray(rows)
-    places = row_places(rows, op.n, list(dict.fromkeys(x_masks_of(op))))
+    group: dict[int, int] = {}  # the place of each distinct x mask in row_places
+    owner = [group.setdefault(x, len(group)) for x in x_masks_of(op)]
+    places = row_places(rows, op.n, list(group))
     flat = rows.reshape(-1, rows.shape[-1])
-    out = np.zeros(flat.shape + flat.shape[-1:], dtype=complex)
-    for (_, d), target in zip(x_blocks(op, flat), places):
-        np.put_along_axis(out, target.reshape(flat.shape)[:, None], d[:, None], axis=1)
+    m, d = flat.shape
+    weights = np.array([t.coefficient for t in op.terms])[:, None, None]
+    values = (weights * pauli_phases(op.terms, flat)).ravel()
+    # term t at k = flat[r, a] adds to M[r, pos[k ^ x_t], a]; bincount keeps term order
+    cells = places.reshape(-1, m, d)[owner] * d + np.arange(m)[:, None] * d * d + np.arange(d)
+    out = np.empty(m * d * d, dtype=complex)
+    out.real = np.bincount(cells.ravel(), values.real, out.size)
+    out.imag = np.bincount(cells.ravel(), values.imag, out.size)
     return out.reshape(rows.shape + rows.shape[-1:])

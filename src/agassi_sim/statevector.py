@@ -7,9 +7,10 @@ Spin patterns accept the characters ``u``/``d`` or the arrows.
 
 Pauli strings act as bit-mask index permutations plus per-index phases;
 :mod:`agassi_sim.paulis` decodes each string into masks once and evaluates its
-phases only on the indices in use (``pauli_phases``, ``x_blocks``).  Any
-product of Pauli exponentials (one exponential, a Trotter step, a compiled
-program) runs through one kernel, :func:`rotation_steps` and :func:`apply_steps`.
+phases only on the indices in use (``pauli_phases``), in one pass over a sum's
+terms for ``to_matrix`` and :func:`expectation`.  Any product of Pauli
+exponentials (one exponential, a Trotter step, a compiled program) runs
+through one kernel, :func:`rotation_steps` and :func:`apply_steps`.
 Every exact path, :class:`ExactPropagator` (n <= 12, on the cosets a state
 touches) and the experiments' series alike, evolves a stack of blocks on
 ``paulis.cosets`` by the one evaluation :func:`coset_evolution`:
@@ -29,9 +30,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .checks import finite, real, same_qubits
+from .checks import finite, integer, real, same_qubits
 from .paulis import (MATRIX_QUBIT_LIMIT, CapacityError, PauliString, PauliSum, cosets,
-                     pauli_phases, row_places, to_matrix, x_blocks, x_masks_of)
+                     pauli_phases, row_places, to_matrix, x_masks_of)
 
 NORM_TOL = 1e-8
 UNITARITY_TOL = 1e-10
@@ -49,6 +50,7 @@ class StateVector:
     n: int
 
     def __post_init__(self):
+        integer(self.n, "n", 0)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.n,):
             raise ValueError(
@@ -321,18 +323,19 @@ def exact_evolve(state: StateVector, hamiltonian: PauliSum, t: float) -> StateVe
 
 
 def expectation(state: StateVector, observable: PauliSum) -> float:
-    """<state|O|state> for a Hermitian observable, one ``vdot`` per x block,
-    ``sum_x <psi[k ^ x] | d_x[k] psi[k]>`` over the state's support k, where
-    the blocks are evaluated; the tiny imaginary residue of the
-    floating-point sum is discarded."""
+    """<state|O|state> for a Hermitian observable, ``sum_t c_t <psi[k ^ x_t] |
+    phase_t[k] psi[k]>`` over its terms t and the state's support k, as one
+    gather of ``psi[k ^ x_t]``, one product and one ``vdot``; the tiny
+    imaginary residue of the floating-point sum is discarded."""
     if not observable.hermitian(tol=UNITARITY_TOL):
         raise ValueError("observable must be Hermitian")
     same_qubits(observable.n, state.n)
     psi = state.amplitudes
     support = np.flatnonzero(psi)
-    amps = psi[support]
-    return float(np.real(sum(np.vdot(psi[support ^ x], d * amps)
-                             for x, d in x_blocks(observable, support))))
+    flips = support ^ np.array(x_masks_of(observable), dtype=np.int64)[:, None]
+    weights = np.array([t.coefficient for t in observable.terms])[:, None]
+    terms = weights * pauli_phases(observable.terms, support) * psi[support]
+    return float(np.vdot(psi[flips], terms).real)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -2,8 +2,9 @@
 keeps every finiteness and qubit-count test in that one module (every
 basis-index popcount and every mask popcount of the string algebra in
 agassi_sim.paulis, the one Pauli decoder ``pauli_masks`` in agassi_sim.paulis,
-every coset built from ``x_span`` in agassi_sim.paulis, and every ``eigh`` and
-every evaluation by ``spectral_states`` in agassi_sim.statevector)."""
+every coset built from ``x_span`` in agassi_sim.paulis, every ``eigh`` and
+every evaluation by ``spectral_states`` in agassi_sim.statevector, and every
+evaluation of Pauli phases by ``pauli_phases`` in those two modules)."""
 
 from pathlib import Path
 
@@ -15,8 +16,9 @@ from agassi_sim.experiments import ExperimentConfig
 from agassi_sim.ion_compiler import (MS, GateSequence, GlobalPhase, Rotation, count_gates,
                                      error_budget, simulate_sequence)
 from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian
-from agassi_sim.paulis import PauliString, PauliSum, pauli
-from agassi_sim.statevector import ExactPropagator, apply_pauli_exponential, basis_state
+from agassi_sim.paulis import FermionWord, PauliString, PauliSum, jw_map, pauli
+from agassi_sim.statevector import (ExactPropagator, StateVector, apply_pauli_exponential,
+                                    basis_state)
 from agassi_sim.trotter import (build_schedule, coset_states, evolve_schedule,
                                 trotter_evolve, trotter_states_at)
 
@@ -45,6 +47,20 @@ REFUSALS = {
                             "^n_steps must be an integer"),
     "sequence-float-qubits": (lambda: GateSequence(4.0, ()), "^n_qubits must be an integer"),
     "sequence-negative-qubits": (lambda: GateSequence(-1, ()), "^n_qubits must be an integer"),
+    "sequence-str-gate": (lambda: GateSequence(4, ("junk",)),
+                          "^step entry 'junk' is not a Rotation, MS or GlobalPhase"),
+    "sequence-int-gate": (lambda: GateSequence(4, (1,)),
+                          "^step entry 1 is not a Rotation, MS or GlobalPhase"),
+    "sequence-list-step": (lambda: GateSequence(4, [Rotation("z", 0.1, 1)]),
+                           r"^step must be a tuple of gates, got \[Rotation"),
+    "state-bool-n": (lambda: StateVector(np.ones(2) / np.sqrt(2), True),
+                     "^n must be an integer >= 0, got True"),
+    "state-float-n": (lambda: StateVector(np.ones(1), 1.5), "^n must be an integer >= 0, got 1.5"),
+    "state-negative-n": (lambda: StateVector(np.ones(1), -1), "^n must be an integer >= 0, got -1"),
+    "jw-bool-n": (lambda: jw_map(FermionWord.parse("1+ 1"), True),
+                  "^n must be an integer >= 0, got True"),
+    "jw-float-n": (lambda: jw_map(FermionWord.parse("1+ 1"), 1.5),
+                   "^n must be an integer >= 0, got 1.5"),
     "collective-bool-j": (lambda: build_collective_ops(True), "^j must be an integer"),
     "budget-bool-e1": (lambda: error_budget(COUNTS, True, 1e-3, 5), "^e1 must be a number"),
     "budget-float-steps": (lambda: error_budget(COUNTS, 1e-4, 1e-3, 2.5),
@@ -112,7 +128,8 @@ HOMES = {"isfinite(": ("checks.py",), "qubit counts differ": ("checks.py",),
          "bitwise_count": ("paulis.py",), "bit_count(": ("paulis.py",),
          "pauli_masks": ("paulis.py",),
          "x_span(": ("paulis.py",), "eigh(": ("statevector.py",),
-         "spectral_states(": ("statevector.py",)}
+         "spectral_states(": ("statevector.py",),
+         "pauli_phases(": ("paulis.py", "statevector.py")}
 
 
 def test_finiteness_and_qubit_count_checks_live_in_checks_only():

@@ -37,7 +37,8 @@ from agassi_sim.experiments import (
     survival_series,
 )
 from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian, critical_line
-from agassi_sim.paulis import CapacityError, PauliString, PauliSum, to_matrix, x_blocks, x_span
+from agassi_sim.paulis import (CapacityError, PauliString, PauliSum, to_matrix, x_masks_of,
+                              x_span)
 from agassi_sim.statevector import (ExactPropagator, StateVector, basis_index, basis_state,
                                     expectation)
 from agassi_sim.trotter import coset_steps, trotter_evolve, trotter_states_at
@@ -238,7 +239,7 @@ def dense_states_at(h: PauliSum, initial):
 def coset_size(j: int) -> int:
     """States in the span of the x masks of the coupling-free blocks at j."""
     blocks = experiments._coupling_free_blocks(j)
-    return len(x_span([x for block in blocks for x, _ in x_blocks(block)]))
+    return len(x_span([x for block in blocks for x in x_masks_of(block)]))
 
 
 def z_signs(qubit: int, n: int = 4) -> np.ndarray:
@@ -493,7 +494,7 @@ class TestCosetCache:
         amps = sum(basis_state(p).amplitudes for p in patterns) / np.sqrt(len(patterns))
         initial = StateVector(amps, 4)
         free = experiments._coupling_free_blocks(1)
-        span = x_span([x for block in free for x, _ in x_blocks(block)])
+        span = x_span([x for block in free for x in x_masks_of(block)])
         expected = np.unique(np.flatnonzero(amps)[:, None] ^ span)
         idx, blocks = experiments._coset_blocks(initial, 1)
         assert idx.dtype == expected.dtype and idx.tolist() == expected.tolist()
@@ -517,17 +518,22 @@ class TestCosetCache:
         # a 2^16 phase array per string made x_masks_of alone peak at about 444 MB
         fresh_interpreter(
             "import tracemalloc\n"
+            "import numpy as np\n"
             "from agassi_sim.model import _coupling_free_blocks\n"
-            "from agassi_sim.paulis import cosets, x_blocks, x_masks_of\n"
-            "from agassi_sim.statevector import basis_index\n"
+            "from agassi_sim.paulis import cosets, pauli_phases, x_masks_of\n"
+            "from agassi_sim.statevector import StateVector, basis_index, expectation\n"
             "free = _coupling_free_blocks(4)\n"
             "tracemalloc.start()\n"
             "masks = [x for block in free for x in x_masks_of(block)]\n"
             "assert tracemalloc.get_traced_memory()[1] < 20e6, tracemalloc.get_traced_memory()\n"
             "row = cosets(masks, 16, [basis_index('d' * 8 + 'u' * 8)])[0]\n"
             "assert len(row) == 1024\n"
+            "amps = np.zeros(2**16, dtype=complex)\n"
+            "amps[row] = 1 / np.sqrt(len(row))\n"
+            "state = StateVector(amps, 16)\n"
             "tracemalloc.reset_peak()\n"
-            "blocks = [x_blocks(block, row) for block in free]\n"
+            "phases = [pauli_phases(block.terms, row) for block in free]\n"
+            "values = [expectation(state, block) for block in free]\n"
             "assert tracemalloc.get_traced_memory()[1] < 100e6, tracemalloc.get_traced_memory()\n")
 
     def test_cli_import_leaves_yaml_unloaded(self):
@@ -662,7 +668,7 @@ class TestDigitalOnTheCoset:
         rows = np.array([basis_index(s) ^ x for s in ("dduu", "dudd") for x in (0, 0b1111)])
         start = rng.normal(size=4) + 1j * rng.normal(size=4)
         start /= np.linalg.norm(start)
-        number = dict(x_blocks(build_collective_ops(1)["Nop"]))[0].real[rows]
+        number = to_matrix(build_collective_ops(1)["Nop"]).diagonal().real[rows]
         dts = np.array([0.05, 0.3, -0.4, 1.1, 2.0])
         for params in (ModelParams(g=0.7, V=0.4), ModelParams(epsilon=0.8, g=-0.3, V=1.2)):
             taken = 0
@@ -799,6 +805,15 @@ class TestRun:
         ExperimentConfig(experiment="survival", samples=MAX_AMPLITUDES // 16)
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="survival", samples=MAX_AMPLITUDES // 16 + 1)
+
+    def test_oversized_phase_sweep_rejected_with_its_size(self):
+        # built only, no sweep runs: 2^20 points of 2^4 amplitudes at j = 1
+        ExperimentConfig("phase_sweep", sweep_points=2**20)
+        ExperimentConfig("survival", sweep_points=2**40)  # only the phase sweep reads it
+        with pytest.raises(ValueError, match=rf"^sweep_points \* 2\^n = {2**20 + 1} \* 2\^4"):
+            ExperimentConfig("phase_sweep", sweep_points=2**20 + 1)
+        with pytest.raises(ValueError, match=str(2**40 * 16)):
+            ExperimentConfig("phase_sweep", sweep_points=2**40)
 
     @pytest.mark.parametrize("experiment,given,name", [
         ("survival", {"samples": 2.5}, "samples"),

@@ -22,9 +22,9 @@ from agassi_sim.paulis import (
     pauli_letters,
     pauli_masks,
     to_matrix,
-    x_blocks,
     x_span,
 )
+from agassi_sim.statevector import StateVector, expectation
 
 from conftest import dense_string, dense_sum, dense_jw_annihilation
 
@@ -300,7 +300,8 @@ class TestToMatrix:
 def x_orbits(op: PauliSum) -> list[list[int]]:
     """The sets of basis indices that op's x masks map into themselves, each
     grown from its smallest index by flipping the X and Y sites of every term
-    (written out letter by letter, without ``x_blocks`` or ``x_span``)."""
+    (written out letter by letter, without ``x_masks_of``, ``x_span`` or
+    ``cosets``)."""
     masks = [int("".join("1" if c in "XY" else "0" for c in t.letters), 2) for t in op.terms]
     orbits, seen = [], set()
     for k in range(2**op.n):
@@ -354,35 +355,39 @@ class TestToMatrixOnRows:
             to_matrix(pauli("Z"), rows)
 
 
-def _sums_and_indices(n: int):
-    """A random sum on n qubits and random basis indices, repeats allowed."""
+def _sums(n: int):
+    """A random sum on n qubits."""
     term = st.tuples(st.text("IXYZ", min_size=n, max_size=n), st.floats(-2, 2), st.floats(-2, 2))
-    return st.tuples(st.just(n), st.lists(term, max_size=8),
-                     st.lists(st.integers(0, 2**n - 1), max_size=12))
+    return st.tuples(st.just(n), st.lists(term, max_size=8))
 
 
-class TestXBlocks:
+class TestOnePassEvaluation:
+    """``to_matrix`` and ``expectation`` read every term in one pass."""
+
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5).flatmap(_sums_and_indices))
-    def test_on_an_index_equals_every_index_restricted_to_it(self, case):
-        n, entries, index = case
+    @given(st.integers(1, 5).flatmap(_sums), st.randoms(use_true_random=False))
+    def test_on_permuted_cosets_equals_the_full_matrix_restricted(self, case, random):
+        n, entries = case
         op = PauliSum.from_terms([PauliString(complex(a, b), s) for s, a, b in entries], n)
-        full = x_blocks(op)
-        assert all(d.shape == (2**n,) for _, d in full)
-        for shape in ((-1,), (1, -1)):
-            on = np.array(index, dtype=np.int64).reshape(shape)
-            blocks = x_blocks(op, on)
-            assert [x for x, _ in blocks] == [x for x, _ in full]
-            for (_, d), (_, d_full) in zip(blocks, full):
-                assert d.shape == on.shape and d.tobytes() == d_full[on].tobytes()
+        full = to_matrix(op)
+        rows = np.array([random.sample(orbit, len(orbit)) for orbit in x_orbits(op)])
+        stacked = to_matrix(op, rows)
+        for r, block in zip(rows, stacked):
+            expected = full[np.ix_(r, r)].tobytes()
+            assert block.tobytes() == expected and to_matrix(op, r).tobytes() == expected
 
-    def test_masks_in_order_of_first_appearance_each_summed(self):
+    def test_terms_sharing_an_x_mask_are_summed(self):
         op = PauliSum.from_terms([pauli("ZX", 0.5), pauli("IX", 2.0), pauli("XI"), pauli("ZZ")])
-        # the terms are sorted IX, XI, ZX, ZZ
-        blocks = x_blocks(op, np.array([0, 3]))
-        assert [x for x, _ in blocks] == [0b01, 0b10, 0b00]
-        assert np.array_equal(blocks[0][1], [2.5, 1.5])  # IX + ZX at |00> and |11>
-        assert np.array_equal(blocks[2][1], [1.0, 1.0])
+        matrix = to_matrix(op)
+        # IX + ZX flip the last qubit, at |00> with phase +1 and at |11> with -1
+        assert (matrix[0b01, 0b00], matrix[0b10, 0b11]) == (2.5, 1.5)
+        assert (matrix[0b10, 0b00], matrix[0b00, 0b00], matrix[0b11, 0b11]) == (1.0, 1.0, 1.0)
+        # (|k> + |k ^ 01>) / sqrt 2: ZZ's +1 and -1 cancel, and IX + ZX count twice
+        for pair, value in (([0b00, 0b01], 2.5), ([0b11, 0b10], 1.5)):
+            amps = np.zeros(4, dtype=complex)
+            amps[pair] = 1 / np.sqrt(2)
+            state = StateVector(amps, 2)
+            assert expectation(state, op) == pytest.approx(value, abs=1e-14)
 
 
 class TestXSpan:

@@ -83,8 +83,7 @@ maximum, below the rounding of the observable itself."""
 SEARCH_AMPLITUDES = 2**15
 """Most amplitudes one slice of a search pass holds, counted as points *
 samples * coset dimension: each pass runs in slices of that many points
-(never fewer than one), 40 per grid slice and 252 per zoom pass at j = 1.
-The exact spectra are built in chunks of the grid slice's size."""
+(never fewer than one), 40 per grid slice and 252 per zoom pass at j = 1."""
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,8 @@ def _zoom_max(periods: np.ndarray, values_at: Callable, d: int) -> np.ndarray:
     of t reached).  A point that stops leaves the batch; the others go on.
 
     Each pass runs in slices of at most SEARCH_AMPLITUDES // (samples * d)
-    points, d the width of a state.  A bracket's ends are ``np.linspace``'s
+    points, d the width of a state, and keeps of a slice's values only each
+    point's best sample and its value.  A bracket's ends are ``np.linspace``'s
     own samples k -/+ 1, ``i * step + lo`` with the last pinned to ``hi``,
     computed without the grid."""
     best = np.full(len(periods), -np.inf)
@@ -244,10 +244,12 @@ def _zoom_max(periods: np.ndarray, values_at: Callable, d: int) -> np.ndarray:
     lo, hi, samples = np.zeros(len(periods)), 2 * periods, GRID_SAMPLES
     while rows.size:
         per = max(1, SEARCH_AMPLITUDES // (samples * d))
-        values = np.concatenate([values_at(rows[s:s + per], lo[s:s + per], hi[s:s + per], samples)
-                                 for s in range(0, len(rows), per)])
-        k = np.argmax(values, axis=1)
-        best[rows] = np.maximum(best[rows], values[np.arange(len(rows)), k])
+        k, top = np.empty(len(rows), dtype=np.intp), np.empty(len(rows))
+        for s in range(0, len(rows), per):
+            values = values_at(rows[s:s + per], lo[s:s + per], hi[s:s + per], samples)
+            k[s:s + per] = np.argmax(values, axis=1)
+            top[s:s + per] = values[np.arange(len(values)), k[s:s + per]]
+        best[rows] = np.maximum(best[rows], top)
         step = (hi - lo) / (samples - 1)
         lo, hi = (np.maximum(k - 1, 0) * step + lo,
                   np.where(k + 1 < samples - 1, (k + 1) * step + lo, hi))
@@ -264,20 +266,17 @@ def _two_period_max(points: list[ModelParams], initial: StateVector, observable:
     state; ``states`` are amplitudes on ``idx``, the initial state's coset.
 
     Every point goes through one :func:`_zoom_max`.  Exact states come from
-    the spectra of the points' coset blocks, built in chunks of at most
-    SEARCH_AMPLITUDES // (GRID_SAMPLES * d) points, by the phase tables of
-    :func:`spectral_grid_states`; digital states are evolved per point on idx
-    by :func:`trotter.coset_states` at the ``np.linspace`` times."""
+    the spectra of the points' coset blocks, built in one batch, by the phase
+    tables of :func:`spectral_grid_states`; digital states are evolved per
+    point on idx by :func:`trotter.coset_states` at the ``np.linspace``
+    times."""
     if not points:
         return np.empty(0)
     idx, blocks = _coset_blocks(initial, points[0].j)
     start = initial.amplitudes[idx]
     if n_T is None:
-        chunk = max(1, SEARCH_AMPLITUDES // (GRID_SAMPLES * len(idx)))
         weights = np.array([coupling_weights(p) for p in points])
-        energies, vectors = map(np.concatenate, zip(*(
-            hermitian_spectra(np.tensordot(weights[k:k + chunk], blocks, 1))
-            for k in range(0, len(points), chunk))))
+        energies, vectors = hermitian_spectra(np.tensordot(weights, blocks, 1))
         coeffs = spectral_coeffs(vectors, start)
 
         def states_at(rows, lo, hi, samples):

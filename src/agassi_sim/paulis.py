@@ -375,14 +375,17 @@ def cosets(x_masks, n: int, seeds=None) -> np.ndarray:
 def row_places(rows: np.ndarray, n: int, x_masks) -> np.ndarray:
     """``places[i, ..., a]``, the place in its row of ``rows[..., a] ^
     x_masks[i]``, shape ``(len(x_masks), *rows.shape)``, for rows of shape
-    (..., d) of basis indices.  The indices must be integers in [0, 2^n),
-    each at most once in all rows, and every row closed under every mask;
-    anything else is refused with a ``ValueError``."""
+    (..., d) of basis indices.  The rows must hold at least one index, the
+    indices must be integers in [0, 2^n), each at most once in all rows, and
+    every row closed under every mask; anything else is refused with a
+    ``ValueError``."""
     rows = np.asarray(rows)
     if rows.ndim < 1 or not np.issubdtype(rows.dtype, np.integer):
         raise ValueError(f"rows must be an array of integer basis indices, got {rows!r}")
+    if not rows.size:
+        raise ValueError(f"rows must hold at least one basis index, got {rows!r}")
     flat = rows.reshape(-1)
-    if flat.size and not (flat.min() >= 0 and flat.max() < 2**n):
+    if not (flat.min() >= 0 and flat.max() < 2**n):
         raise ValueError(f"rows hold a basis index outside [0, 2^{n})")
     # where[k], the place of index k in the flattened rows (-1 if absent)
     where = np.full(2**n, -1, dtype=np.int64)
@@ -390,7 +393,7 @@ def row_places(rows: np.ndarray, n: int, x_masks) -> np.ndarray:
     where[flat] = place
     if np.any(where[flat] != place):  # a repeat keeps only its last place
         raise ValueError("rows hold a basis index more than once")
-    d = max(rows.shape[-1], 1)
+    d = rows.shape[-1]
     places = np.empty((len(x_masks), flat.size), dtype=np.int64)
     for i, x_mask in enumerate(x_masks):
         target = where[flat ^ x_mask]

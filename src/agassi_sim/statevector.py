@@ -8,9 +8,11 @@ Spin patterns accept the characters ``u``/``d`` or the arrows.
 Pauli strings act as bit-mask index permutations plus per-index phases;
 :mod:`agassi_sim.paulis` decodes each string into masks once and evaluates its
 phases only on the indices in use (``pauli_phases``), in one pass over a sum's
-terms for ``to_matrix`` and :func:`expectation`.  Any product of Pauli
-exponentials (one exponential, a Trotter step, a compiled program) runs
-through one kernel, :func:`rotation_steps` and :func:`apply_steps`.
+terms for ``to_matrix`` and :func:`expectation`.  The products of Pauli
+exponentials whose layers recur, a Trotter step and a compiled program, run
+through one cached kernel, :func:`rotation_steps` and :func:`apply_steps`; a
+single exponential is its two-term closed form,
+:func:`apply_pauli_exponential`.
 Every exact path, :class:`ExactPropagator` (n <= 12, on the cosets a state
 touches) and the experiments' series alike, evolves a stack of blocks on
 ``paulis.cosets`` by the one evaluation :func:`coset_evolution`:
@@ -201,16 +203,20 @@ def apply_steps(amps: np.ndarray, steps, repeats: int = 1) -> np.ndarray:
 
 
 def apply_pauli_exponential(state: StateVector, p: PauliString, theta: float) -> StateVector:
-    """exp(-i theta P) |state> for a Pauli string with coefficient +1 or -1
-    (a sign flip of theta): a one-entry rotation layer run for a step theta.
-    """
-    finite(real(theta, "theta"), "theta")
+    """exp(-i theta P) |state> = cos(a) psi - i sin(a) P psi, a = theta c, for
+    a Pauli string P with coefficient c = +1 or -1; P maps ``psi[k]`` to
+    ``phase[k] psi[k]`` at ``k ^ x``."""
+    theta = finite(real(theta, "theta"), "theta")
     same_qubits(p.n, state.n)
     c = p.coefficient
     if abs(c.imag) > 1e-12 or abs(abs(c.real) - 1.0) > 1e-12:
         raise ValueError(f"coefficient must be +1 or -1, got {c}")
-    steps = rotation_steps(((p.unit(), 1.0),), state.n, np.array([theta * c.real]))
-    return StateVector(apply_steps(state.amplitudes[None, :], steps)[0], state.n)
+    a = theta * c.real
+    index = np.arange(2**state.n)
+    psi = state.amplitudes
+    out = math.cos(a) * psi
+    out[index ^ x_masks_of([p])[0]] += -1j * math.sin(a) * pauli_phases([p], index)[0] * psi
+    return StateVector(out, state.n)
 
 
 class ExactPropagator:

@@ -16,9 +16,8 @@ Every digital run steps through :func:`coset_steps` and
 masks (1111 and 0), such as the initial state's coset of H's x-mask span (2
 states at j = 1), or on every index (rows None), batched over step sizes.
 Per index the arithmetic is that of the full-space evolution, so the
-results agree bitwise.  The public :func:`trotter_states_at` is
-:func:`coset_states` on every index; :func:`evolve_schedule` (behind
-:func:`trotter_evolve`) runs a schedule's own layer through the same kernel.
+results agree bitwise.  :func:`trotter_evolve` is one row of
+:func:`coset_states` on every index.
 
 Schedules are immutable and shareable; evolutions allocate fresh state.
 General j has no closed split and is not supported here.
@@ -127,28 +126,12 @@ def coset_states(start: np.ndarray, rows: np.ndarray | None, params: ModelParams
     return next(islice(coset_steps(start, rows, params, dts), n_T - 1, None))
 
 
-def evolve_schedule(state: StateVector, schedule: TrotterSchedule) -> StateVector:
-    """Apply every step of a schedule to a state."""
-    same_qubits(schedule.diagonal_block.n, state.n)
-    steps = rotation_steps(schedule.layer, state.n, np.array([schedule.dt]))
-    return StateVector(apply_steps(state.amplitudes[None, :], steps, schedule.n_T)[0], state.n)
-
-
 def trotter_evolve(state: StateVector, params: ModelParams, t: float, n_T: int) -> StateVector:
-    """Digitally evolved state after n_T first-order steps to time t."""
-    return evolve_schedule(state, build_schedule(params, t, n_T))
-
-
-def trotter_states_at(state: StateVector, params: ModelParams,
-                      times: np.ndarray, n_T: int) -> np.ndarray:
-    """Digital states at many times, each reached in n_T steps of its own
-    size; shape (len(times), 2^n).  The per-time results are identical to
-    ``trotter_evolve`` but the grid is advanced as one batch, by
-    :func:`coset_states` on every index.  No experiment calls it: it stays
-    as the public full-space reference that the coset runs are tested
-    against."""
+    """Digitally evolved state after n_T first-order steps to time t: the one
+    row of :func:`coset_states` on every index."""
     same_qubits(params.n_qubits, state.n)
-    return coset_states(state.amplitudes, None, params, times, n_T)
+    t = finite(real(t, "t"), "t", "nonnegative")
+    return StateVector(coset_states(state.amplitudes, None, params, [t], n_T)[0], state.n)
 
 
 def digital_error(state: StateVector, params: ModelParams, t: float, n_T: int) -> float:

@@ -3,8 +3,10 @@ keeps every finiteness and qubit-count test in that one module (every
 basis-index popcount and every mask popcount of the string algebra in
 agassi_sim.paulis, the one Pauli decoder ``pauli_masks`` in agassi_sim.paulis,
 every coset built from ``x_span`` in agassi_sim.paulis, every ``eigh`` and
-every evaluation by ``spectral_states`` in agassi_sim.statevector, and every
-evaluation of Pauli phases by ``pauli_phases`` in those two modules)."""
+every evaluation by ``spectral_states`` in agassi_sim.statevector, every
+evaluation of Pauli phases by ``pauli_phases`` in those two modules, and every
+call of the rotation kernel, ``rotation_steps`` and ``apply_steps``, in
+agassi_sim.statevector, agassi_sim.trotter and agassi_sim.ion_compiler)."""
 
 from pathlib import Path
 
@@ -16,11 +18,10 @@ from agassi_sim.experiments import ExperimentConfig
 from agassi_sim.ion_compiler import (MS, GateSequence, GlobalPhase, Rotation, count_gates,
                                      error_budget, simulate_sequence)
 from agassi_sim.model import ModelParams, build_collective_ops, build_hamiltonian
-from agassi_sim.paulis import FermionWord, PauliString, PauliSum, jw_map, pauli
+from agassi_sim.paulis import FermionWord, PauliString, PauliSum, jw_map, pauli, to_matrix
 from agassi_sim.statevector import (ExactPropagator, StateVector, apply_pauli_exponential,
                                     basis_state)
-from agassi_sim.trotter import (build_schedule, coset_states, evolve_schedule,
-                                trotter_evolve, trotter_states_at)
+from agassi_sim.trotter import build_schedule, coset_states, trotter_evolve
 
 PARAMS = ModelParams(epsilon=1.0, g=0.5, V=0.5)
 EIGHT_QUBITS = basis_state("dddduuuu")
@@ -95,10 +96,6 @@ REFUSALS = {
                       "^qubit counts differ: 4 vs 8"),
     "trotter-evolve-8-on-4": (lambda: trotter_evolve(EIGHT_QUBITS, PARAMS, 1.0, 2),
                               "^qubit counts differ: 4 vs 8"),
-    "trotter-states-8-on-4": (lambda: trotter_states_at(EIGHT_QUBITS, PARAMS, [0.5, 1.0], 2),
-                              "^qubit counts differ: 4 vs 8"),
-    "schedule-8-on-4": (lambda: evolve_schedule(EIGHT_QUBITS, build_schedule(PARAMS, 1.0, 2)),
-                        "^qubit counts differ: 4 vs 8"),
     "exponential-8-on-4": (lambda: apply_pauli_exponential(EIGHT_QUBITS, pauli("XXXX"), 0.1),
                            "^qubit counts differ: 4 vs 8"),
     "simulate-8-on-4": (lambda: simulate_sequence(EIGHT_QUBITS, GateSequence(4, ())),
@@ -115,6 +112,14 @@ REFUSALS = {
     "coset-states-start-on-every-index": (
         lambda: coset_states(COSET[0], None, PARAMS, [0.5], 2),
         r"^start must hold 16 amplitudes, one per row, got shape \(2,\)"),
+    "matrix-rows-empty": (lambda: to_matrix(pauli("XX"), np.empty(0, dtype=np.int64)),
+                          r"^rows must hold at least one basis index, got array\(\[\], dtype"),
+    "matrix-rows-two-empty": (
+        lambda: to_matrix(pauli("XX"), np.empty((2, 0), dtype=np.int64)),
+        r"^rows must hold at least one basis index, got array\(\[\], shape=\(2, 0\)"),
+    "matrix-no-rows": (
+        lambda: to_matrix(pauli("XX"), np.empty((0, 2), dtype=np.int64)),
+        r"^rows must hold at least one basis index, got array\(\[\], shape=\(0, 2\)"),
 }
 
 
@@ -129,7 +134,9 @@ HOMES = {"isfinite(": ("checks.py",), "qubit counts differ": ("checks.py",),
          "pauli_masks": ("paulis.py",),
          "x_span(": ("paulis.py",), "eigh(": ("statevector.py",),
          "spectral_states(": ("statevector.py",),
-         "pauli_phases(": ("paulis.py", "statevector.py")}
+         "pauli_phases(": ("paulis.py", "statevector.py"),
+         "rotation_steps(": ("statevector.py", "trotter.py", "ion_compiler.py"),
+         "apply_steps(": ("statevector.py", "trotter.py", "ion_compiler.py")}
 
 
 def test_finiteness_and_qubit_count_checks_live_in_checks_only():

@@ -41,7 +41,7 @@ from agassi_sim.paulis import (CapacityError, PauliString, PauliSum, to_matrix, 
                               x_span)
 from agassi_sim.statevector import (ExactPropagator, StateVector, basis_index, basis_state,
                                     expectation)
-from agassi_sim.trotter import coset_steps, trotter_evolve, trotter_states_at
+from agassi_sim.trotter import coset_states, coset_steps, trotter_evolve
 from conftest import dense_sum
 
 
@@ -292,8 +292,12 @@ class TestBatchedSearch:
                             lambda blocks: spectra.append(len(blocks))
                             or hermitian_spectra(blocks))
         small = phase_sweep(cfg).amplitude
-        assert spectra == [3] * 7 + [2]
+        assert spectra == [23]  # one build for the sweep, whatever the slices
         assert np.max(np.abs(small - default)) < 1e-14
+
+    def test_search_holds_one_slice_of_values_at_a_time(self):
+        # every point's 401 grid values held at once would peak at about 28 MB
+        assert traced_peak(lambda: phase_sweep(sweep_cfg(-1.0, 1.0, 4096))) < 10e6
 
     @pytest.mark.parametrize("init", ["dduu", "dudd", "uuuu"])
     def test_sector_search_matches_full_space_search(self, init):
@@ -317,7 +321,7 @@ class TestBatchedSearch:
         sweep = phase_sweep(sweep_cfg(0.1, 0.9, 5, n_T=5, initial_state=init), trotterized=True)
         for gv, amp in zip(sweep.control, sweep.amplitude):
             params = ModelParams(g=float(gv), V=float(gv))
-            states_at = partial(trotter_states_at, initial, params, n_T=5)
+            states_at = partial(coset_states, initial.amplitudes, None, params, n_T=5)
             assert abs(amp - reference_max(params, full_corr, states_at)) < 1e-12
 
     @staticmethod
@@ -560,7 +564,8 @@ class TestExactSeries:
         t_final = default_t_final(ExperimentConfig("survival", **given))
         times = np.linspace(0.0, t_final, 33)
         exact_at = dense_states_at(build_hamiltonian(params), initial)
-        exact, digital = exact_at(times), trotter_states_at(initial, params, times, 5)
+        exact = exact_at(times)
+        digital = coset_states(initial.amplitudes, None, params, times, 5)
 
         survival = survival_series(ExperimentConfig("survival", **given)).values
         assert np.max(np.abs(survival - np.abs(exact @ initial.amplitudes.conj()) ** 2)) < 1e-12
@@ -573,8 +578,9 @@ class TestExactSeries:
 
         steps, fids = fidelity_vs_steps(ExperimentConfig("fidelity_vs_nT", **given))
         final = exact_at(np.array([t_final]))[0]
-        expected = [abs(np.vdot(final, trotter_states_at(initial, params, np.array([t_final]),
-                                                         int(m))[0])) ** 2 for m in steps]
+        expected = [abs(np.vdot(final, coset_states(initial.amplitudes, None, params,
+                                                    np.array([t_final]), int(m))[0])) ** 2
+                    for m in steps]
         assert list(steps) == [1, 2, 3, 4, 5]
         assert np.max(np.abs(fids - expected)) < 1e-12
 
@@ -631,7 +637,7 @@ class TestDigitalOnTheCoset:
         cfg = ExperimentConfig("fidelity_vs_time", **given)
         times = np.linspace(0.0, 3.0, 41)
         initial, idx, exact = experiments._exact_states(cfg, times)
-        digital = trotter_states_at(initial, cfg.params, times, 7)[:, idx]
+        digital = coset_states(initial.amplitudes, None, cfg.params, times, 7)[:, idx]
         expected = np.abs(np.einsum("ki,ki->k", exact.conj(), digital)) ** 2
         assert fidelity_time_series(cfg).values.tobytes() == expected.tobytes()
         _, corr = correlation_series(ExperimentConfig("correlation", **given))
@@ -648,7 +654,7 @@ class TestDigitalOnTheCoset:
         initial, expected = basis_state("dduu"), []
         for gv in sweep.control:
             params = ModelParams(g=float(gv), V=float(gv))
-            states_at = partial(trotter_states_at, initial, params, n_T=5)
+            states_at = partial(coset_states, initial.amplitudes, None, params, n_T=5)
             expected.append(reference_max(params, full_corr, states_at) if gv else 0.0)
         assert np.max(np.abs(sweep.amplitude - expected)) < 1e-12
         assert ([classify_amplitude(a) for a in sweep.amplitude]
@@ -687,7 +693,7 @@ class TestDigitalOnTheCoset:
         source = Path(experiments.__file__).read_text()
         assert "[:, idx]" not in source
         loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        per_point = {"trotter_states_at", "trotter_evolve", "evolve_schedule"}
+        per_point = {"trotter_evolve"}
         looped = [node.lineno for loop in ast.walk(ast.parse(source)) if isinstance(loop, loops)
                   for node in ast.walk(loop) if isinstance(node, ast.Call)
                   and getattr(node.func, "id", getattr(node.func, "attr", None)) in per_point]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from agassi_sim import statevector
 from agassi_sim.model import ModelParams, build_hamiltonian
@@ -139,6 +140,26 @@ class TestPauliExponential:
         out = apply_pauli_exponential(state, pauli(letters), float(theta))
         expected = dense_expm_hermitian(dense_string(letters), float(theta)) @ amps
         assert np.allclose(out.amplitudes, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_closed_form_matches_scipy_expm(self, rng, n):
+        strings = ["I" * n, "Z" * n, "".join(rng.choice(list("IZ"), size=n))]
+        strings += ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(5)]
+        for letters in strings:
+            for c in (1.0, -1.0):
+                amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+                amps /= np.linalg.norm(amps)
+                theta = float(rng.uniform(-3.0, 3.0))
+                out = apply_pauli_exponential(StateVector(amps, n), pauli(letters, c), theta)
+                expected = expm(-1j * theta * dense_string(letters, c)) @ amps
+                assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
+
+    def test_runs_no_rotation_kernel(self, rng):
+        before = statevector._rotation_groups.cache_info()
+        for letters in ("XXXX", "ZIIZ", "IIII", "XYZI", "YYYY"):
+            apply_pauli_exponential(basis_state("dduu"), pauli(letters, -1.0),
+                                    float(rng.uniform(-1, 1)))
+        assert statevector._rotation_groups.cache_info() == before
 
     def test_norm_preserved_over_many_applications(self, rng):
         state = basis_state("dduu")

@@ -8,17 +8,18 @@ from agassi_sim.paulis import pauli
 from agassi_sim.statevector import (
     StateVector,
     apply_pauli_exponential,
+    apply_steps,
     basis_state,
     exact_evolve,
     fidelity,
+    rotation_steps,
 )
 from agassi_sim.trotter import (
     build_schedule,
+    coset_states,
     coset_steps,
     digital_error,
-    evolve_schedule,
     trotter_evolve,
-    trotter_states_at,
     TrotterSchedule,
 )
 
@@ -80,7 +81,7 @@ class TestSchedule:
         with pytest.raises(ValueError, match="t must be nonnegative and finite"):
             trotter_evolve(basis_state("dduu"), PARAMS, t, 5)
         with pytest.raises(ValueError, match="times must be finite"):
-            trotter_states_at(basis_state("dduu"), PARAMS, np.array([0.0, t]), 5)
+            coset_states(basis_state("dduu").amplitudes, None, PARAMS, np.array([0.0, t]), 5)
 
     @pytest.mark.parametrize("n_T,t", [(0, 1.0), (-2, 1.0), (2.0, 1.0), (3, -0.5)])
     def test_hand_built_schedule_checks_steps_and_time(self, n_T, t):
@@ -93,6 +94,13 @@ class TestSchedule:
         diagonal = build_schedule(PARAMS, 1.0, 1).diagonal_block
         with pytest.raises(ValueError, match="XXXX"):
             TrotterSchedule(diagonal, ((pauli("XXXX", coefficient), 0.5),), 2, 1.0)
+
+
+def run_schedule(state: StateVector, schedule: TrotterSchedule) -> StateVector:
+    """Every step of a hand-built schedule, its own layer run through the
+    rotation kernel."""
+    steps = rotation_steps(schedule.layer, state.n, np.array([schedule.dt]))
+    return StateVector(apply_steps(state.amplitudes[None, :], steps, schedule.n_T)[0], state.n)
 
 
 class TestEvolution:
@@ -129,7 +137,7 @@ class TestEvolution:
     def test_reordering_invariance_of_interaction_layer(self, rng):
         schedule = build_schedule(PARAMS, 1.7, 4)
         state = basis_state("dduu")
-        reference = evolve_schedule(state, schedule)
+        reference = run_schedule(state, schedule)
         for _ in range(5):
             perm = rng.permutation(8)
             shuffled = TrotterSchedule(
@@ -138,7 +146,7 @@ class TestEvolution:
                 n_T=schedule.n_T,
                 t=schedule.t,
             )
-            out = evolve_schedule(state, shuffled)
+            out = run_schedule(state, shuffled)
             assert np.max(np.abs(out.amplitudes - reference.amplitudes)) < 1e-12
 
 
@@ -170,7 +178,7 @@ class TestCollapsedInteractionLayer:
         for eps, g, v, t, n_T in draws:
             schedule = build_schedule(ModelParams(epsilon=eps, g=g, V=v), t, n_T)
             state = random_state(rng)
-            out = evolve_schedule(state, schedule)
+            out = run_schedule(state, schedule)
             ref = per_string_evolution(state, schedule)
             assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-12
 
@@ -178,7 +186,7 @@ class TestCollapsedInteractionLayer:
         params = ModelParams(epsilon=1.0, g=0.4, V=0.45)
         state = random_state(rng)
         times = np.linspace(0.0, 6.0, 9)
-        rows = trotter_states_at(state, params, times, 5)
+        rows = coset_states(state.amplitudes, None, params, times, 5)
         for t, row in zip(times, rows):
             ref = per_string_evolution(state, build_schedule(params, float(t), 5))
             assert np.max(np.abs(row - ref.amplitudes)) < 1e-12
@@ -193,7 +201,7 @@ class TestCollapsedInteractionLayer:
                                  interaction_layer=layer, n_T=3, t=1.3)
         state = random_state(rng)
         ref = per_string_evolution(state, custom)
-        assert np.max(np.abs(evolve_schedule(state, custom).amplitudes - ref.amplitudes)) < 1e-12
+        assert np.max(np.abs(run_schedule(state, custom).amplitudes - ref.amplitudes)) < 1e-12
 
 
 class TestDigitalError:
